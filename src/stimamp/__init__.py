@@ -16,7 +16,6 @@ from .fock import (
     E20,
     apply_rotation,
     canonical_angle,
-    projection_probability,
     projection_triple,
     rotation2,
     single_photon_state,
@@ -36,14 +35,12 @@ from .protocol import (
     LinearityReport,
     ProtocolConfig,
     TransmissionReport,
-    epr_conditional_input,
     linearity_gap,
     reduced_density,
     transmit,
 )
 from .statistics import (
     CountTriple,
-    MixtureEnsemble,
     ProbabilityTriple,
     closed_form_probs,
     differential_sigma_20,

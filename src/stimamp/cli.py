@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,30 +32,33 @@ _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGN
 
 
 def parse_angle(text: str) -> float:
-    """Angle literal: decimal radians or a pi fraction like 'pi/8', '3pi/4'."""
+    """Finite angle literal: decimal radians or a pi fraction like 'pi/8', '3pi/4'."""
     text = text.strip()
     m = _ANGLE_RE.match(text)
-    if m:
-        mult, div = m.group(1), m.group(2)
-        value = np.pi
-        if mult not in ("", "+", "-"):
-            value *= float(mult)
-        elif mult == "-":
-            value = -value
-        if div:
-            value /= float(div)
-        return float(value)
     try:
-        return float(text)
-    except ValueError:
+        if m:
+            mult, div = m.group(1), m.group(2)
+            value = np.pi
+            if mult not in ("", "+", "-"):
+                value *= float(mult)
+            elif mult == "-":
+                value = -value
+            if div:
+                value /= float(div)
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid angle literal: {text!r}")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite: {text!r}")
+    return float(value)
 
 
 def parse_variant(text: str) -> Variant:
-    try:
-        return Variant(text.lower())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"variant must be 'distinguishable' or 'identical', got {text!r}")
+    for variant in Variant:
+        if variant.value == text.lower():
+            return variant
+    raise argparse.ArgumentTypeError(f"variant must be 'distinguishable' or 'identical', got {text!r}")
 
 
 def _fmt(value) -> str:
@@ -138,9 +142,6 @@ def cmd_probs(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.steps < 2 or not args.theta_min < args.theta_max:
-        print("error: need steps >= 2 and theta-min < theta-max", file=sys.stderr)
-        return 2
     rows = [
         {
             "theta_rad": theta,
@@ -161,9 +162,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    if args.n < 1:
-        print("error: n must be >= 1", file=sys.stderr)
-        return 2
     counts, est = monte_carlo_probs(args.theta, args.variant, args.n, args.seed)
     ref = closed_form_probs(args.theta, args.variant)
     row = {
@@ -186,21 +184,15 @@ def cmd_mc(args) -> int:
 
 
 def cmd_protocol(args) -> int:
-    if not args.bits or any(c not in "01" for c in args.bits):
-        print("error: bits must be a nonempty string over {0,1}", file=sys.stderr)
-        return 2
-    try:
-        config = ProtocolConfig(
-            pairs_per_bit=args.pairs_per_bit,
-            theta_bit0=args.theta_bit0,
-            theta_bit1=args.theta_bit1,
-            variant=args.variant,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = transmit(config, [int(c) for c in args.bits])
+    config = ProtocolConfig(
+        pairs_per_bit=args.pairs_per_bit,
+        theta_bit0=args.theta_bit0,
+        theta_bit1=args.theta_bit1,
+        variant=args.variant,
+        seed=args.seed,
+    )
+    # Any character but '0' and '1' maps to -1, which transmit rejects.
+    report = transmit(config, ["01".find(c) for c in args.bits])
     rows = [
         {"bit_index": i, "sent": s, "decoded": d, "p20_hat": p}
         for i, (s, d, p) in enumerate(
@@ -225,40 +217,23 @@ def cmd_protocol(args) -> int:
 
 
 def _loop_row(cfg: LoopConfig) -> dict:
-    report = run_loop(cfg)
-    return {
-        "u": cfg.u,
-        "beta": cfg.beta,
-        "L": cfg.L,
-        "ell": cfg.ell,
-        "emission_t": report.emission.t,
-        "emission_x": report.emission.x,
-        "handoff1_t": report.handoff1.t,
-        "handoff1_x": report.handoff1.x,
-        "handoff2_t": report.handoff2.t,
-        "handoff2_x": report.handoff2.x,
-        "arrival_t": report.arrival.t,
-        "arrival_x": report.arrival.x,
-        "delta_t": report.delta_t,
-        "violated": report.violated,
-    }
+    """Config and report fields in order; each Event becomes <name>_t, <name>_x."""
+    row = asdict(cfg)
+    for key, value in asdict(run_loop(cfg)).items():
+        if isinstance(value, dict):
+            row.update((f"{key}_{axis}", coord) for axis, coord in value.items())
+        else:
+            row[key] = value
+    return row
 
 
 def cmd_causality(args) -> int:
-    try:
-        cfg = LoopConfig(u=args.u, beta=args.beta, L=args.L, ell=args.ell)
-        row = _loop_row(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    row = _loop_row(LoopConfig(u=args.u, beta=args.beta, L=args.L, ell=args.ell))
     params = {"u": args.u, "beta": args.beta, "L": args.L, "ell": args.ell}
     return emit(document("causality", params, [row]), args)
 
 
 def cmd_causality_scan(args) -> int:
-    if not args.u or any(u <= 0 for u in args.u):
-        print("error: need at least one positive u", file=sys.stderr)
-        return 2
     rows = [{"u": u, "threshold_beta": violation_threshold(u, args.L)} for u in args.u]
     return emit(document("causality-scan", {"u": args.u, "L": args.L}, rows), args)
 
@@ -324,8 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse, delegate, render; the library's ValueError is a usage error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -97,11 +97,6 @@ def apply_rotation(rot: np.ndarray, state: np.ndarray) -> np.ndarray:
     return rot.T @ np.asarray(state, dtype=complex)
 
 
-def projection_probability(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 for two normalized two-photon states."""
-    return float(abs(np.vdot(a, b)) ** 2)
-
-
 def projection_triple(state: np.ndarray) -> np.ndarray:
     """Probabilities of the dipole-frame outcomes (|2,0>, |1,1>, |0,2>)."""
     return np.abs(np.asarray(state, dtype=complex)) ** 2

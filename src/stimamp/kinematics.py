@@ -8,6 +8,7 @@ A negative round-trip time at the origin is a causality violation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,14 +30,15 @@ class LoopConfig:
     ell: float = 0.0  # light-channel length in S
 
     def __post_init__(self):
-        if self.u <= 0:
-            raise ValueError("u must be positive")
+        # Written so that NaN fails every comparison.
+        if not 0.0 < self.u < math.inf:
+            raise ValueError("u must be positive and finite")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-        if self.ell < 0:
-            raise ValueError("ell must be non-negative")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError("L must be positive and finite")
+        if not 0.0 <= self.ell < math.inf:
+            raise ValueError("ell must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -113,9 +115,10 @@ def violation_threshold(u: float, L: float = 1.0, tol: float = 1e-9) -> float | 
     """Critical beta above which the loop violates causality.
 
     Found by bisection on run_loop's delta_t with ell = 0; analytically
-    2u/(1 + u^2).  Returns None for u <= 1 (light-speed or slower
+    2u/(1 + u^2).  Returns None for 0 < u <= 1 (light-speed or slower
     channels never violate).
     """
+    LoopConfig(u=u, beta=0.0, L=L)  # rejects a bad u or L before the u <= 1 shortcut
     if u <= 1.0:
         return None
 

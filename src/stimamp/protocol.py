@@ -57,16 +57,6 @@ class LinearityReport:
         object.__setattr__(self, "gap", self.p_paper - self.p_linear)
 
 
-def epr_conditional_input(theta: float, rng) -> float:
-    """Bob's conditional input angle after Alice's basis-{theta} measurement.
-
-    Returns theta or theta + pi/2 with probability 1/2 each.  rng is a
-    seed or a numpy Generator; a fixed seed gives a fixed outcome.
-    """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    return theta if rng.random() < 0.5 else theta + np.pi / 2.0
-
-
 def _bit_seed(seed: int, index: int) -> np.random.SeedSequence:
     # Deterministic per-bit substream; bits may be simulated in parallel.
     return np.random.SeedSequence((seed, index))

@@ -9,11 +9,12 @@ seeded Monte Carlo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifier import ScatteredState, Variant, scatter
+from .amplifier import Variant, scatter
 from .fock import ATOL_EXACT, projection_triple
 
 
@@ -50,22 +51,6 @@ class CountTriple:
         return ProbabilityTriple(self.n20 / self.total, self.n11 / self.total, self.n02 / self.total)
 
 
-@dataclass(frozen=True)
-class MixtureEnsemble:
-    """Weighted mixture of input polarization angles."""
-
-    entries: tuple[tuple[float, float], ...]  # (weight, theta)
-
-    def __post_init__(self):
-        weights = [w for w, _ in self.entries]
-        if any(w <= 0 for w in weights) or abs(sum(weights) - 1.0) > ATOL_EXACT:
-            raise ValueError("weights must be positive and sum to 1")
-
-    @classmethod
-    def orthogonal_pair(cls, theta: float) -> "MixtureEnsemble":
-        return cls(((0.5, theta), (0.5, theta + np.pi / 2.0)))
-
-
 def differential_sigma_20(theta: float) -> float:
     """Differential rate of the |2,0> outcome, (1 + cos^2 2theta)/2.
 
@@ -83,65 +68,49 @@ def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     return ProbabilityTriple(2.0 * c2 / 3.0, 1.0 / 3.0, 2.0 * s2 / 3.0)
 
 
-def _outcome_weights(scattered: ScatteredState) -> np.ndarray:
-    """Unnormalized dipole-frame outcome weights of one amplifier output.
+def outcome_table(theta: float, variant: Variant):
+    """Amplifier outputs for the orthogonal-pair mixture: the one probability core.
 
-    Distinguishable branches add incoherently (the atom tag records which
-    branch fired); the identical variant projects the coherent state.
+    Scatters |theta> and |theta + pi/2> once each and returns
+    (input weights, per-input total weights, branch weights, projections).
+    Branch weights form a 2x2 array (input, branch) in units of
+    lambda^2 dOmega; row 2*j + b of the 4x3 projection matrix holds the
+    dipole-frame outcome probabilities of branch b of input j.  The
+    identical variant has one coherent branch of weight total_weight and
+    a second branch of weight 0.
     """
-    if scattered.variant is Variant.DISTINGUISHABLE:
-        out = np.zeros(3)
-        for branch in scattered.branches:
-            out += abs(branch.amplitude) ** 2 * projection_triple(branch.photon_state)
-        return out
-    return scattered.total_weight * projection_triple(scattered.coherent)
-
-
-def first_principles_probs(
-    theta: float,
-    variant: Variant,
-    ensemble: MixtureEnsemble | None = None,
-) -> ProbabilityTriple:
-    """Outcome triple from the projection pipeline, no closed forms.
-
-    Scatters every ensemble member, projects onto the dipole-frame basis,
-    mixture-averages, and normalizes by the computed total two-photon
-    weight (3/2 for the orthogonal pair).
-    """
-    if ensemble is None:
-        ensemble = MixtureEnsemble.orthogonal_pair(theta)
-    weights = np.zeros(3)
-    total = 0.0
-    for w, angle in ensemble.entries:
-        scattered = scatter(angle, variant)
-        weights += w * _outcome_weights(scattered)
-        total += w * scattered.total_weight
-    weights /= total
-    return ProbabilityTriple(*weights)
-
-
-def _shot_tables(theta: float, variant: Variant):
-    """Precomputed per-input sampling tables for the orthogonal-pair mixture.
-
-    Returns (accept probabilities, branch-0 probabilities, cumulative
-    outcome distributions indexed by 2*input + branch).  The identical
-    variant has one coherent 'branch' per input.
-    """
-    accept = np.empty(2)
-    p_branch0 = np.ones(2)
-    cum = np.empty((4, 3))
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    total = np.empty(2)
+    branch = np.zeros((2, 2))
+    proj = np.empty((4, 3))
     for j, angle in enumerate((theta, theta + np.pi / 2.0)):
         scattered = scatter(angle, variant)
-        accept[j] = scattered.total_weight / 2.0
+        total[j] = scattered.total_weight
         if variant is Variant.DISTINGUISHABLE:
-            w = np.array([abs(b.amplitude) ** 2 for b in scattered.branches])
-            p_branch0[j] = w[0] / w.sum()
-            for b, branch in enumerate(scattered.branches):
-                cum[2 * j + b] = np.cumsum(projection_triple(branch.photon_state))
+            branch[j] = [abs(b.amplitude) ** 2 for b in scattered.branches]
+            states = [b.photon_state for b in scattered.branches]
         else:
-            cum[2 * j] = np.cumsum(projection_triple(scattered.coherent))
-            cum[2 * j + 1] = cum[2 * j]
-    return accept, p_branch0, cum
+            branch[j, 0] = scattered.total_weight
+            states = [scattered.coherent, scattered.coherent]
+        proj[2 * j : 2 * j + 2] = projection_triple(np.array(states))
+    return np.array([0.5, 0.5]), total, branch, proj
+
+
+def first_principles_probs(theta: float, variant: Variant) -> ProbabilityTriple:
+    """Outcome triple from the projection pipeline, no closed forms.
+
+    The mixture average of outcome_table's branch-weighted projections,
+    normalized by the computed total two-photon weight (3/2 for the
+    orthogonal pair).  Distinguishable branches add incoherently (the atom
+    tag records which branch fired); the identical variant projects the
+    coherent state.
+    """
+    inputs, total, branch, proj = outcome_table(theta, variant)
+    # Elementwise, left to right, no reductions: the CLI prints 17 digits.
+    per_input =branch[:, :1] * proj[0::2] + branch[:, 1:] * proj[1::2]
+    weights = inputs[0] * per_input[0] + inputs[1] * per_input[1]
+    return ProbabilityTriple(*(weights / (inputs[0] * total[0] + inputs[1] * total[1])))
 
 
 def monte_carlo_probs(
@@ -163,7 +132,10 @@ def monte_carlo_probs(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    accept, p_branch0, cum = _shot_tables(theta, variant)
+    _, total, bw, proj = outcome_table(theta, variant)
+    accept = total / 2.0
+    p_branch0 = bw[:, 0] / bw.sum(axis=1)
+    cum = np.cumsum(proj, axis=1)
     counts = np.zeros(3, dtype=np.int64)
     remaining = n
     while remaining > 0:

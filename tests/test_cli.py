@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 
@@ -156,3 +157,42 @@ def test_main_callable_in_process(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# schema_version=1")
     assert "theta_rad,variant,p20" in out
+
+
+USAGE_ERRORS = [
+    "mc --theta nan -n 10",
+    "mc --theta inf -n 10",
+    "probs --theta inf",
+    "probs --theta nan",
+    "probs --theta=-inf",
+    "probs --theta pi/0",
+    "sweep --theta-max inf",
+    "sweep --theta-min nan",
+    "protocol --bits 01 --theta-bit0 nan",
+    "causality --u nan --beta 0.5",
+    "causality --u inf --beta 0.5",
+    "causality --u 2 --beta nan",
+    "causality --u 2 --beta 0.5 -L inf",
+    "causality-scan --u nan",
+    "causality-scan --u inf",
+    "causality-scan --u 0.5 -L nan",
+    "mc --theta 0 -n 10 --seed -1",
+    "protocol --bits 01 --pairs-per-bit 10 --seed -1",
+    "sweep --steps 1",
+    "mc --theta 0 -n 0",
+    "protocol --bits 012",
+    "causality-scan --u 0 2",
+    "causality --u 2 --beta 1.0",
+]
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_usage_error_exits_2_cleanly(command, capsys):
+    try:
+        code = main(shlex.split(command))
+    except SystemExit as exc:  # argparse rejects the literal itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("usage:", "error:")), err

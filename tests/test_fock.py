@@ -7,7 +7,7 @@ from stimamp.fock import (
     E20,
     apply_rotation,
     canonical_angle,
-    projection_probability,
+    projection_triple,
     rotation2,
     single_photon_state,
     symmetric_lift,
@@ -121,8 +121,8 @@ def test_apply_composes():
 
 
 def test_projection_probability():
-    assert projection_probability(E20, E20) == pytest.approx(1.0, abs=1e-12)
-    assert projection_probability(E20, E11) == pytest.approx(0.0, abs=1e-12)
+    assert projection_triple(E20)[0] == pytest.approx(1.0, abs=1e-12)
+    assert projection_triple(E11)[0] == pytest.approx(0.0, abs=1e-12)
     rotated = apply_rotation(two_photon_rotation(np.pi / 4), E20)
     # cos^4(pi/4) overlap with the unrotated both-parallel state
-    assert projection_probability(E20, rotated) == pytest.approx(0.25, abs=1e-12)
+    assert projection_triple(rotated)[0] == pytest.approx(0.25, abs=1e-12)

@@ -57,6 +57,18 @@ class TestComposeVelocity:
         with pytest.raises(ValueError):
             compose_velocity(-2.0, 0.5)
 
+    def test_matches_run_loop_return_leg(self):
+        # run_loop never calls compose_velocity, so this is an independent check.
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            beta = rng.uniform(0.0, 0.99)
+            u = rng.uniform(beta + 1e-3, 50.0)
+            if abs(1.0 - beta * u) < 1e-3:
+                continue
+            r = run_loop(LoopConfig(u=u, beta=beta, L=rng.uniform(0.1, 10), ell=rng.uniform(0, 5)))
+            lab = (r.handoff2.x - r.handoff1.x) / (r.handoff2.t - r.handoff1.t)
+            assert lab == pytest.approx(compose_velocity(-u, beta), rel=1e-9)
+
 
 class TestRunLoop:
     def test_light_speed_channels_never_violate(self):
@@ -118,6 +130,13 @@ class TestRunLoop:
         with pytest.raises(ValueError):
             LoopConfig(u=2.0, beta=0.5, ell=-1.0)
 
+    @pytest.mark.parametrize("field", ["u", "beta", "L", "ell"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"u": 2.0, "beta": 0.5, "L": 1.0, "ell": 0.0, field: value}
+        with pytest.raises(ValueError):
+            LoopConfig(**kwargs)
+
 
 class TestViolationThreshold:
     @pytest.mark.parametrize("u", [1.5, 2.0, 5.0, 10.0])
@@ -131,6 +150,11 @@ class TestViolationThreshold:
     def test_subluminal_sentinel(self):
         assert violation_threshold(1.0) is None
         assert violation_threshold(0.5) is None
+
+    @pytest.mark.parametrize("u,L", [(0.0, 1.0), (-2.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, -1.0)])
+    def test_rejects_bad_speed_or_length(self, u, L):
+        with pytest.raises(ValueError):
+            violation_threshold(u, L)
 
     def test_flip_happens_exactly_once(self):
         u = 3.0

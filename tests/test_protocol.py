@@ -4,7 +4,6 @@ import pytest
 from stimamp.amplifier import Variant
 from stimamp.protocol import (
     ProtocolConfig,
-    epr_conditional_input,
     linearity_gap,
     reduced_density,
     transmit,
@@ -27,22 +26,6 @@ class TestConfig:
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
             ProtocolConfig(pairs_per_bit=0)
-
-
-class TestEprConditionalInput:
-    def test_two_outcome_support(self):
-        rng = np.random.default_rng(3)
-        outcomes = {round(epr_conditional_input(0.0, rng), 12) for _ in range(200)}
-        assert outcomes == {0.0, round(np.pi / 2, 12)}
-
-    def test_seed_determinism(self):
-        assert epr_conditional_input(0.2, 77) == epr_conditional_input(0.2, 77)
-
-    def test_balanced_over_many_draws(self):
-        rng = np.random.default_rng(4)
-        n = 10**6
-        hits = sum(epr_conditional_input(0.1, rng) == 0.1 for _ in range(n))
-        assert abs(hits / n - 0.5) < 3e-3
 
 
 class TestTransmit:

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from stimamp.amplifier import Variant
+from stimamp.amplifier import Variant, branch_weights
 from stimamp.statistics import (
     CountTriple,
-    MixtureEnsemble,
     ProbabilityTriple,
     closed_form_probs,
     differential_sigma_20,
     first_principles_probs,
     monte_carlo_probs,
+    outcome_table,
     sweep,
 )
 
@@ -28,11 +28,6 @@ def test_count_triple():
     assert c.estimates().p20 == pytest.approx(0.5)
     with pytest.raises(ValueError):
         CountTriple(0, 0, 0).estimates()
-
-
-def test_mixture_ensemble_validates():
-    with pytest.raises(ValueError):
-        MixtureEnsemble(((0.7, 0.0), (0.7, 1.0)))
 
 
 @pytest.mark.parametrize(
@@ -72,6 +67,27 @@ def test_first_principles_matches_closed_forms():
             )
 
 
+class TestOutcomeTable:
+    def test_branch_weights_match_closed_form(self):
+        for theta in np.random.default_rng(1).uniform(-5, 5, 200):
+            _, _, branch, _ = outcome_table(theta, Variant.DISTINGUISHABLE)
+            for j, angle in enumerate((theta, theta + np.pi / 2)):
+                np.testing.assert_allclose(branch[j], branch_weights(angle), atol=1e-12)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_rows_are_distributions(self, variant):
+        for theta in np.random.default_rng(2).uniform(-5, 5, 200):
+            inputs, total, branch, proj = outcome_table(theta, variant)
+            np.testing.assert_allclose(proj.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(branch.sum(axis=1), total, atol=1e-12)
+            assert inputs.sum() == 1.0
+
+    def test_identical_has_one_coherent_branch(self):
+        _, total, branch, _ = outcome_table(0.4, Variant.IDENTICAL)
+        np.testing.assert_array_equal(branch[:, 0], total)
+        np.testing.assert_array_equal(branch[:, 1], 0.0)
+
+
 def test_normalization_and_complementarity():
     for theta in RNG.uniform(0, np.pi, 500):
         for variant in Variant:
@@ -101,6 +117,12 @@ class TestMonteCarlo:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
             monte_carlo_probs(0.0, Variant.DISTINGUISHABLE, 0, 1)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_angle(self, theta):
+        # A NaN acceptance probability would keep no candidate and never stop.
+        with pytest.raises(ValueError):
+            monte_carlo_probs(theta, Variant.DISTINGUISHABLE, 10, 1)
 
     def test_seeded_determinism(self):
         a, _ = monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, 5000, 123)
