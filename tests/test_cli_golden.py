@@ -50,6 +50,15 @@ def corpus() -> list[str]:
             f"causality --u 0.5 --beta 0.3 --format {f}",
             f"causality-scan --u 1.5 2 5 10 --format {f}",
             f"causality-scan --u 1 1e6 0.5 --format {f}",
+            # Every flag left at its default or given out of order: the
+            # parameters block must still follow the parser's order.
+            f"causality-scan --u 2 5 -L 3 --format {f}",
+            f"causality --ell 0.25 --beta 0.2 --u 3 --format {f}",
+            f"mc --theta 0.3 -n 5 --format {f}",
+            f"mc --seed 3 -n 5 --variant identical --theta=-pi/8 --format {f}",
+            f"sweep --steps 3 --theta-max 3pi/8 --theta-min pi/8 --format {f}",
+            f"protocol --seed 1 --theta-bit1=-pi/8 --theta-bit0 pi/8 --pairs-per-bit 20 --bits 0110 --format {f}",
+            f"probs --format {f} --variant identical --theta 3pi/4",
         ]
     # Usage and I/O errors: nothing on stdout.
     cmds += [
