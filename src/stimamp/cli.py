@@ -93,7 +93,21 @@ def render(doc: dict, fmt: str) -> str:
     return render_csv(doc)
 
 
-def emit(doc: dict, args) -> int:
+def emit(args, rows: list, summary: dict | None = None) -> int:
+    """Build the command's document from its parsed arguments and write it.
+
+    The parameters are the command's own flags in parser order; a Variant
+    is written by its value.
+    """
+    parameters = {
+        key: value.value if isinstance(value, Variant) else value
+        for key, value in vars(args).items()
+        if key not in ("command", "format", "out", "func")
+    }
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "parameters": parameters}
+    if summary is not None:
+        doc["summary"] = summary
+    doc["rows"] = rows
     text = render(doc, args.format)
     if args.out:
         try:
@@ -105,14 +119,6 @@ def emit(doc: dict, args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def document(command: str, parameters: dict, rows: list, summary: dict | None = None) -> dict:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command, "parameters": parameters}
-    if summary is not None:
-        doc["summary"] = summary
-    doc["rows"] = rows
-    return doc
 
 
 def cmd_probs(args) -> int:
@@ -131,14 +137,11 @@ def cmd_probs(args) -> int:
         "max_discrepancy": discrepancy,
         "sigma20_per_lambda2": differential_sigma_20(args.theta),
     }
-    doc = document("probs", {"theta": args.theta, "variant": args.variant.value}, [row])
-    status = emit(doc, args)
-    if status:
-        return status
-    if discrepancy > 1e-9:
+    status = emit(args, [row])
+    if status == 0 and discrepancy > 1e-9:
         print("error: closed form and projection oracle disagree", file=sys.stderr)
         return 1
-    return 0
+    return status
 
 
 def cmd_sweep(args) -> int:
@@ -152,13 +155,7 @@ def cmd_sweep(args) -> int:
         }
         for theta, triple, sigma in sweep(args.theta_min, args.theta_max, args.steps, args.variant)
     ]
-    params = {
-        "theta_min": args.theta_min,
-        "theta_max": args.theta_max,
-        "steps": args.steps,
-        "variant": args.variant.value,
-    }
-    return emit(document("sweep", params, rows), args)
+    return emit(args, rows)
 
 
 def cmd_mc(args) -> int:
@@ -179,17 +176,12 @@ def cmd_mc(args) -> int:
         "dev11": est.p11 - ref.p11,
         "dev02": est.p02 - ref.p02,
     }
-    params = {"theta": args.theta, "variant": args.variant.value, "n": args.n, "seed": args.seed}
-    return emit(document("mc", params, [row]), args)
+    return emit(args, [row])
 
 
 def cmd_protocol(args) -> int:
     config = ProtocolConfig(
-        pairs_per_bit=args.pairs_per_bit,
-        theta_bit0=args.theta_bit0,
-        theta_bit1=args.theta_bit1,
-        variant=args.variant,
-        seed=args.seed,
+        args.pairs_per_bit, args.theta_bit0, args.theta_bit1, args.variant, args.seed
     )
     # Any character but '0' and '1' maps to -1, which transmit rejects.
     report = transmit(config, ["01".find(c) for c in args.bits])
@@ -200,20 +192,12 @@ def cmd_protocol(args) -> int:
         )
     ]
     summary = {"error_rate": report.error_rate}
-    for label, theta in (("bit0", config.theta_bit0), ("bit1", config.theta_bit1)):
-        lin = linearity_gap(theta, config.variant)
+    for label, theta in (("bit0", args.theta_bit0), ("bit1", args.theta_bit1)):
+        lin = linearity_gap(theta, args.variant)
         summary[f"p_paper_{label}"] = lin.p_paper
         summary[f"p_linear_{label}"] = lin.p_linear
         summary[f"gap_{label}"] = lin.gap
-    params = {
-        "bits": args.bits,
-        "pairs_per_bit": args.pairs_per_bit,
-        "theta_bit0": config.theta_bit0,
-        "theta_bit1": config.theta_bit1,
-        "variant": args.variant.value,
-        "seed": args.seed,
-    }
-    return emit(document("protocol", params, rows, summary), args)
+    return emit(args, rows, summary)
 
 
 def _loop_row(cfg: LoopConfig) -> dict:
@@ -228,14 +212,13 @@ def _loop_row(cfg: LoopConfig) -> dict:
 
 
 def cmd_causality(args) -> int:
-    row = _loop_row(LoopConfig(u=args.u, beta=args.beta, L=args.L, ell=args.ell))
-    params = {"u": args.u, "beta": args.beta, "L": args.L, "ell": args.ell}
-    return emit(document("causality", params, [row]), args)
+    cfg = LoopConfig(u=args.u, beta=args.beta, L=args.L, ell=args.ell)
+    return emit(args, [_loop_row(cfg)])
 
 
 def cmd_causality_scan(args) -> int:
     rows = [{"u": u, "threshold_beta": violation_threshold(u, args.L)} for u in args.u]
-    return emit(document("causality-scan", {"u": args.u, "L": args.L}, rows), args)
+    return emit(args, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,7 +289,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -111,12 +111,12 @@ def run_loop(cfg: LoopConfig) -> LoopReport:
     return LoopReport(emission, handoff1, handoff2, arrival)
 
 
-def violation_threshold(u: float, L: float = 1.0, tol: float = 1e-9) -> float | None:
+def violation_threshold(u: float, L: float = 1.0) -> float | None:
     """Critical beta above which the loop violates causality.
 
-    Found by bisection on run_loop's delta_t with ell = 0; analytically
-    2u/(1 + u^2).  Returns None for 0 < u <= 1 (light-speed or slower
-    channels never violate).
+    Found by bisection on run_loop's delta_t with ell = 0, to an absolute
+    tolerance of 1e-9 in beta; analytically 2u/(1 + u^2).  Returns None
+    for 0 < u <= 1 (light-speed or slower channels never violate).
     """
     LoopConfig(u=u, beta=0.0, L=L)  # rejects a bad u or L before the u <= 1 shortcut
     if u <= 1.0:
@@ -128,7 +128,7 @@ def violation_threshold(u: float, L: float = 1.0, tol: float = 1e-9) -> float | 
     lo, hi = 0.0, 1.0 - 1e-15
     if delta_t(hi) >= 0.0:
         return None
-    while hi - lo > tol:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if delta_t(mid) > 0.0:
             lo = mid

@@ -18,7 +18,7 @@ import numpy as np
 
 from .amplifier import Variant
 from .fock import ATOL_EXACT, single_photon_state
-from .statistics import closed_form_probs, monte_carlo_probs
+from .statistics import _check_angle, closed_form_probs, monte_carlo_probs
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.pairs_per_bit < 1:
             raise ValueError("pairs_per_bit must be >= 1")
+        for theta in (self.theta_bit0, self.theta_bit1):  # before their difference can overflow
+            _check_angle(theta)
         # Symbols merging modulo pi/2 share identical outcome statistics.
         gap = np.mod(self.theta_bit0 - self.theta_bit1, np.pi / 2.0)
         if min(gap, np.pi / 2.0 - gap) < ATOL_EXACT:

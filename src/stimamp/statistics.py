@@ -9,7 +9,6 @@ seeded Monte Carlo.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +58,15 @@ def differential_sigma_20(theta: float) -> float:
     return 0.5 * (1.0 + np.cos(2.0 * theta) ** 2)
 
 
+def _check_angle(theta: float) -> None:
+    """Reject NaN and |theta| > 2^20, where theta + pi/2 rounds off orthogonality."""
+    if not abs(theta) <= 2.0**20:
+        raise ValueError(f"theta must satisfy |theta| <= 2**20 (period pi), got {float(theta)}")
+
+
 def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     """Closed-form outcome triple for the orthogonal-pair mixture."""
+    _check_angle(theta)
     c2 = np.cos(2.0 * theta) ** 2
     s2 = np.sin(2.0 * theta) ** 2
     if variant is Variant.DISTINGUISHABLE:
@@ -79,8 +85,7 @@ def outcome_table(theta: float, variant: Variant):
     identical variant has one coherent branch of weight total_weight and
     a second branch of weight 0.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    _check_angle(theta)
     total = np.empty(2)
     branch = np.zeros((2, 2))
     proj = np.empty((4, 3))
@@ -144,8 +149,6 @@ def monte_carlo_probs(
         inp = (u[:, 0] >= 0.5).astype(np.intp)
         kept = u[:, 1] < accept[inp]
         inp = inp[kept]
-        if inp.size == 0:
-            continue
         branch = (u[kept, 2] > p_branch0[inp]).astype(np.intp)
         row_cum = cum[2 * inp + branch]
         u_out = u[kept, 3]
@@ -167,6 +170,8 @@ def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
         raise ValueError("steps must be >= 2")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be < theta_max")
+    for theta in (theta_min, theta_max):  # bounded ends keep linspace finite
+        _check_angle(theta)
     rows = []
     for theta in np.linspace(theta_min, theta_max, steps):
         rows.append((float(theta), closed_form_probs(theta, variant), differential_sigma_20(theta)))

@@ -159,6 +159,18 @@ def test_main_callable_in_process(capsys):
     assert "theta_rad,variant,p20" in out
 
 
+# Beyond |theta| <= 2^20, including angles whose double overflows in the
+# closed forms (~9e307) or in a difference of two angles.
+ANGLE_ERRORS = [
+    "probs --theta 1e8 --variant identical",
+    "probs --theta 1e308",
+    "mc --theta=-1e7 -n 10",
+    "sweep --theta-max 1e308",
+    "sweep --theta-min=-1e308 --theta-max 1e308",
+    "protocol --bits 01 --pairs-per-bit 10 --theta-bit1 1e9",
+    "protocol --bits 01 --theta-bit0 1.7e308 --theta-bit1=-1.7e308",
+]
+
 USAGE_ERRORS = [
     "mc --theta nan -n 10",
     "mc --theta inf -n 10",
@@ -183,6 +195,7 @@ USAGE_ERRORS = [
     "protocol --bits 012",
     "causality-scan --u 0 2",
     "causality --u 2 --beta 1.0",
+    *ANGLE_ERRORS,
 ]
 
 
@@ -196,3 +209,14 @@ def test_usage_error_exits_2_cleanly(command, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith(("usage:", "error:")), err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("command", ANGLE_ERRORS)
+def test_angle_error_names_theta(command):
+    # A subprocess: stderr as a user sees it, numpy warnings included.
+    proc = run_cli(*shlex.split(command))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: theta must satisfy |theta| <= 2**20"), proc.stderr
+    assert b"Warning" not in proc.stderr

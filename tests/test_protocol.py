@@ -27,6 +27,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(pairs_per_bit=0)
 
+    def test_rejects_angles_beyond_domain(self):
+        # Checked before theta_bit0 - theta_bit1 can overflow to inf.
+        with pytest.raises(ValueError, match="theta must satisfy"):
+            ProtocolConfig(pairs_per_bit=1, theta_bit0=1.7e308, theta_bit1=-1.7e308)
+
 
 class TestTransmit:
     def test_default_symbols_decode_cleanly(self):

@@ -113,6 +113,36 @@ def test_differential_consistency():
         assert p20 == pytest.approx(differential_sigma_20(theta) / 1.5, abs=1e-12)
 
 
+ANGLE_LIMIT = 2.0**20
+BEYOND_LIMIT = np.nextafter(ANGLE_LIMIT, np.inf)
+
+
+class TestAngleDomain:
+    """|theta| <= 2^20: beyond it theta + pi/2 rounds off orthogonality."""
+
+    CALLS = {
+        "closed_form": lambda theta: closed_form_probs(theta, Variant.IDENTICAL),
+        "oracle": lambda theta: first_principles_probs(theta, Variant.IDENTICAL),
+        "monte_carlo": lambda theta: monte_carlo_probs(theta, Variant.IDENTICAL, 10, 1),
+    }
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_accepts_limit_rejects_beyond(self, call, sign):
+        self.CALLS[call](sign * ANGLE_LIMIT)
+        with pytest.raises(ValueError, match=r"theta must satisfy .* got -?1048576\.0000000002"):
+            self.CALLS[call](sign * BEYOND_LIMIT)
+
+    def test_message_names_numpy_angle_as_plain_float(self):
+        with pytest.raises(ValueError, match=r"got 1e\+308$"):
+            closed_form_probs(np.float64(1e308), Variant.DISTINGUISHABLE)
+
+    def test_sweep_bounds_its_ends(self):
+        sweep(-ANGLE_LIMIT, ANGLE_LIMIT, 2, Variant.DISTINGUISHABLE)
+        with pytest.raises(ValueError, match="theta must satisfy"):
+            sweep(-1e308, 1e308, 3, Variant.DISTINGUISHABLE)
+
+
 class TestMonteCarlo:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
