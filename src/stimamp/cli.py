@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 internal consistency failure (oracle mismatch),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -221,7 +222,13 @@ def cmd_causality_scan(args) -> int:
     return emit(args, rows)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The stimamp parser, built on the first call and shared after it.
+
+    parse_args keeps no state between calls, so every call of main
+    reuses the one parser; callers must not add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="stimamp",
         description="Single-atom amplifier statistics, EPR signaling, and causal-loop analysis.",

@@ -16,6 +16,9 @@ import numpy as np
 from .amplifier import Variant, scatter
 from .fock import ATOL_EXACT, projection_triple
 
+# Candidate rows per Monte Carlo chunk: 16384 x 4 doubles is 512 KiB.
+_CHUNK_ROWS = 16384
+
 
 @dataclass(frozen=True)
 class ProbabilityTriple:
@@ -113,7 +116,7 @@ def first_principles_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     """
     inputs, total, branch, proj = outcome_table(theta, variant)
     # Elementwise, left to right, no reductions: the CLI prints 17 digits.
-    per_input =branch[:, :1] * proj[0::2] + branch[:, 1:] * proj[1::2]
+    per_input = branch[:, :1] * proj[0::2] + branch[:, 1:] * proj[1::2]
     weights = inputs[0] * per_input[0] + inputs[1] * per_input[1]
     return ProbabilityTriple(*(weights / (inputs[0] * total[0] + inputs[1] * total[1])))
 
@@ -128,7 +131,8 @@ def monte_carlo_probs(
 
     Stream discipline: one PCG64 stream from the seed; each candidate shot
     consumes four uniforms in order (input angle, two-photon acceptance,
-    branch, outcome), row-major in batches.  The input angle is drawn 1/2
+    branch, outcome), row-major, in fixed-size chunks of one reused
+    buffer; memory does not grow with n.  The input angle is drawn 1/2
     each and a candidate is kept with probability total_weight/2, which
     conditions on two-photon events; branch and outcome use inverse-CDF
     over the fixed orderings with boundary ties resolved to the lower
@@ -140,22 +144,21 @@ def monte_carlo_probs(
     _, total, bw, proj = outcome_table(theta, variant)
     accept = total / 2.0
     p_branch0 = bw[:, 0] / bw.sum(axis=1)
-    cum = np.cumsum(proj, axis=1)
+    lo, hi = np.cumsum(proj, axis=1)[:, :2].T  # outcome thresholds of each row
     counts = np.zeros(3, dtype=np.int64)
+    buf = np.empty((min(_CHUNK_ROWS, int(n / 0.7) + 16), 4))
     remaining = n
     while remaining > 0:
-        k = int(remaining / 0.7) + 16
-        u = rng.random((k, 4))
+        u = buf[: min(len(buf), int(remaining / 0.7) + 16)]
+        rng.random(out=u)
         inp = (u[:, 0] >= 0.5).astype(np.intp)
-        kept = u[:, 1] < accept[inp]
+        kept = np.flatnonzero(u[:, 1] < accept[inp])[:remaining]
+        v = u[kept]
         inp = inp[kept]
-        branch = (u[kept, 2] > p_branch0[inp]).astype(np.intp)
-        row_cum = cum[2 * inp + branch]
-        u_out = u[kept, 3]
-        outcome = (u_out > row_cum[:, 0]).astype(np.intp) + (u_out > row_cum[:, 1])
-        outcome = outcome[:remaining]
+        row = 2 * inp + (v[:, 2] > p_branch0[inp])
+        outcome = (v[:, 3] > lo[row]).astype(np.intp) + (v[:, 3] > hi[row])
         counts += np.bincount(outcome, minlength=3)
-        remaining = n - int(counts.sum())
+        remaining -= len(kept)
     triple = CountTriple(int(counts[0]), int(counts[1]), int(counts[2]))
     return triple, triple.estimates()
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from stimamp.cli import main, parse_angle
+from stimamp.cli import build_parser, main, parse_angle
 
 try:
     import jsonschema
@@ -157,6 +157,30 @@ def test_main_callable_in_process(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# schema_version=1")
     assert "theta_rad,variant,p20" in out
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_keeps_no_state_between_commands(capsys):
+    # The flags of one command (a rejected literal, --format csv, --seed 7)
+    # must not leak into the next one parsed by the same parser.
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "--theta", "bogus", "--seed", "7", "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    commands = [
+        ["mc", "--theta", "0.3", "-n", "1000", "--seed", "7", "--format", "csv"],
+        ["probs", "--theta", "pi/8"],
+        ["mc", "--theta", "0.3", "-n", "1000"],
+        ["causality-scan", "--u", "1.5", "2"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+        alone = run_cli(*argv)
+        assert alone.returncode == 0
+        assert capsys.readouterr().out.encode() == alone.stdout, argv
 
 
 # Beyond |theta| <= 2^20, including angles whose double overflows in the

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stimamp import statistics
 from stimamp.amplifier import Variant, branch_weights
 from stimamp.statistics import (
     CountTriple,
@@ -173,6 +176,39 @@ class TestMonteCarlo:
     def test_zero_probability_outcome_never_drawn(self):
         counts, _ = monte_carlo_probs(np.pi / 4, Variant.IDENTICAL, 10**5, 9)
         assert counts.n20 == 0
+
+    # Counts of the kernel that drew all candidates in one array: a
+    # reference independent of the chunking.  n=49153 spans five chunks.
+    @pytest.mark.parametrize(
+        "theta,variant,n,seed,expected",
+        [
+            (0.0, Variant.IDENTICAL, 1, 0, CountTriple(0, 1, 0)),
+            (0.3, Variant.DISTINGUISHABLE, 7, 0, CountTriple(3, 3, 1)),
+            (1.1, Variant.IDENTICAL, 1000, 42, CountTriple(229, 335, 436)),
+            (0.3, Variant.IDENTICAL, 49153, 1, CountTriple(22352, 16425, 10376)),
+            (np.pi / 4, Variant.DISTINGUISHABLE, 300001, 42, CountTriple(100115, 100098, 99788)),
+        ],
+    )
+    def test_recorded_counts(self, theta, variant, n, seed, expected):
+        assert monte_carlo_probs(theta, variant, n, seed)[0] == expected
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 4096])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_chunk_size_does_not_change_counts(self, chunk_rows, variant, monkeypatch):
+        cases = [(n, seed) for n in (1, 7, 1000, 3 * statistics._CHUNK_ROWS + 1) for seed in (0, 42)]
+        expected = [monte_carlo_probs(0.3, variant, n, seed)[0] for n, seed in cases]
+        monkeypatch.setattr(statistics, "_CHUNK_ROWS", chunk_rows)
+        assert [monte_carlo_probs(0.3, variant, n, seed)[0] for n, seed in cases] == expected
+
+    def test_memory_does_not_grow_with_n(self):
+        # An array of all 2e6/0.7 candidates would take 87 MiB.
+        tracemalloc.start()
+        try:
+            monte_carlo_probs(0.3, Variant.IDENTICAL, 2_000_000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSweep:
