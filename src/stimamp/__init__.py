@@ -1,21 +1,16 @@
 """Stimulated-emission amplifier statistics, EPR signaling, and causal-loop kinematics."""
 
 from .amplifier import (
-    AmplifierBranch,
-    AtomTag,
     EmissionConstants,
-    ScatteredState,
     Variant,
     branch_weights,
     lambda_squared,
     scatter,
 )
 from .fock import (
-    E02,
     E11,
     E20,
     apply_rotation,
-    canonical_angle,
     projection_triple,
     rotation2,
     single_photon_state,
@@ -32,9 +27,7 @@ from .kinematics import (
     violation_threshold,
 )
 from .protocol import (
-    LinearityReport,
     ProtocolConfig,
-    TransmissionReport,
     linearity_gap,
     reduced_density,
     transmit,

@@ -24,11 +24,6 @@ class Variant(enum.Enum):
     IDENTICAL = "identical"
 
 
-class AtomTag(enum.Enum):
-    G_THETA = "g_theta"
-    G_THETA_PERP = "g_theta_perp"
-
-
 @dataclass(frozen=True)
 class EmissionConstants:
     """Physical constants for the emission rate; defaults are natural units."""
@@ -49,29 +44,6 @@ def lambda_squared(k: EmissionConstants = EmissionConstants()) -> float:
     return k.omega**3 * k.mu**2 / (8.0 * np.pi**2 * k.hbar * k.c**3)
 
 
-@dataclass(frozen=True)
-class AmplifierBranch:
-    photon_state: np.ndarray  # two-photon amplitudes in the dipole frame
-    atom: AtomTag
-    amplitude: complex  # |amplitude|^2 is the branch weight per lambda^2 dOmega
-
-
-@dataclass(frozen=True)
-class ScatteredState:
-    """Amplifier output for one input angle.
-
-    Distinguishable: branches is the incoherent pair (atom tags orthogonal).
-    Identical: coherent is the normalized coherent superposition.
-    total_weight is the two-photon weight 1 + cos^2(theta) in units of
-    lambda^2 dOmega, identical for both variants.
-    """
-
-    variant: Variant
-    total_weight: float
-    branches: tuple[AmplifierBranch, ...] = ()
-    coherent: np.ndarray | None = None
-
-
 def branch_weights(theta: float) -> tuple[float, float]:
     """Stimulated branch weights (2 cos^2, sin^2) for input |theta>.
 
@@ -82,8 +54,15 @@ def branch_weights(theta: float) -> tuple[float, float]:
     return (2.0 * c * c, s * s)
 
 
-def scatter(theta: float, variant: Variant) -> ScatteredState:
-    """Post-scattering two-photon state for input |theta>.
+def scatter(theta: float, variant: Variant) -> tuple[float, np.ndarray, np.ndarray]:
+    """Post-scattering two-photon branches for input |theta>.
+
+    Returns (total_weight, weights, states): the two-photon weight
+    1 + cos^2(theta), the length-2 branch weights, both in units of
+    lambda^2 dOmega, and a 2x3 array whose rows are the branches'
+    dipole-frame amplitude vectors.  Distinguishable: the incoherent pair
+    onto the rotated |2,0> and |1,1>.  Identical: the coherent state of
+    weight total_weight and a copy of it of weight 0.
 
     Branch amplitudes follow the real signed convention sqrt(2) cos(theta)
     for the both-parallel branch and sin(theta) for the mixed branch; this
@@ -97,10 +76,6 @@ def scatter(theta: float, variant: Variant) -> ScatteredState:
     amp11 = s
     total = 1.0 + c * c
     if variant is Variant.DISTINGUISHABLE:
-        branches = (
-            AmplifierBranch(state20, AtomTag.G_THETA, amp20),
-            AmplifierBranch(state11, AtomTag.G_THETA_PERP, amp11),
-        )
-        return ScatteredState(variant, total, branches=branches)
+        return total, np.array([abs(amp20) ** 2, abs(amp11) ** 2]), np.array([state20, state11])
     coherent = (amp20 * state20 + amp11 * state11) / np.sqrt(total)
-    return ScatteredState(variant, total, coherent=coherent)
+    return total, np.array([total, 0.0]), np.array([coherent, coherent])

@@ -21,14 +21,8 @@ E11 = np.array([0.0, 1.0, 0.0], dtype=complex)
 E02 = np.array([0.0, 0.0, 1.0], dtype=complex)
 
 
-def canonical_angle(theta: float) -> float:
-    """Reduce a polarization angle to the canonical range [0, pi)."""
-    return float(np.mod(theta, np.pi))
-
-
 def single_photon_state(theta: float) -> np.ndarray:
     """Amplitudes (cos theta, sin theta) of |theta> in the dipole basis."""
-    theta = canonical_angle(theta)
     return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
 
 

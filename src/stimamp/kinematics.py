@@ -9,9 +9,7 @@ A negative round-trip time at the origin is a causality violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -47,17 +45,12 @@ class LoopReport:
     handoff1: Event  # Bob(1) -> Alice(2), end of the outbound light leg
     handoff2: Event  # Bob(2), start of the return light leg
     arrival: Event
-    delta_t: float = field(init=False)
-    violated: bool = field(init=False)
-
-    def __post_init__(self):
-        dt = float(self.arrival.t - self.emission.t)
-        object.__setattr__(self, "delta_t", dt)
-        object.__setattr__(self, "violated", dt < 0.0)
+    delta_t: float
+    violated: bool
 
 
 def gamma(beta: float) -> float:
-    return 1.0 / np.sqrt(1.0 - beta * beta)
+    return 1.0 / math.sqrt(1.0 - beta * beta)
 
 
 def boost(e: Event, beta: float) -> Event:
@@ -90,7 +83,8 @@ def run_loop(cfg: LoopConfig) -> LoopReport:
     Bob(1) at x = L; light leg (+x) of length ell to Alice(2), co-moving
     with S'; superluminal leg at speed u in S' back toward the origin,
     ending at Bob(2), placed so the final light leg to Alice(1) has
-    length ell in S.  All events in S coordinates.
+    length ell in S.  All events in S coordinates.  Raises ValueError
+    when a coordinate overflows.
     """
     u, beta, L, ell = cfg.u, cfg.beta, cfg.L, cfg.ell
     emission = Event(0.0, 0.0)
@@ -108,7 +102,11 @@ def run_loop(cfg: LoopConfig) -> LoopReport:
     handoff2 = Event(handoff1.t + g * tau * (1.0 - beta * u), ell)
     # Final light leg back to the origin.
     arrival = Event(handoff2.t + ell, 0.0)
-    return LoopReport(emission, handoff1, handoff2, arrival)
+    events = (emission, handoff1, handoff2, arrival)
+    if not all(math.isfinite(e.t) and math.isfinite(e.x) for e in events):
+        raise ValueError("loop coordinates overflow: L or ell is too large")
+    delta_t = float(arrival.t - emission.t)
+    return LoopReport(*events, delta_t, delta_t < 0.0)
 
 
 def violation_threshold(u: float, L: float = 1.0) -> float | None:

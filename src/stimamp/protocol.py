@@ -12,7 +12,7 @@ the density matrix; linearity_gap reports that departure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +53,7 @@ class LinearityReport:
     theta: float
     p_paper: float
     p_linear: float
-    gap: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "gap", self.p_paper - self.p_linear)
+    gap: float
 
 
 def _bit_seed(seed: int, index: int) -> np.random.SeedSequence:
@@ -115,4 +112,4 @@ def linearity_gap(theta: float, variant: Variant) -> LinearityReport:
     """
     p_paper = closed_form_probs(theta, variant).p20
     p_linear = closed_form_probs(0.0, variant).p20
-    return LinearityReport(theta, p_paper, p_linear)
+    return LinearityReport(theta, p_paper, p_linear, p_paper - p_linear)

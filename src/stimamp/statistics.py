@@ -84,24 +84,16 @@ def outcome_table(theta: float, variant: Variant):
     (input weights, per-input total weights, branch weights, projections).
     Branch weights form a 2x2 array (input, branch) in units of
     lambda^2 dOmega; row 2*j + b of the 4x3 projection matrix holds the
-    dipole-frame outcome probabilities of branch b of input j.  The
-    identical variant has one coherent branch of weight total_weight and
-    a second branch of weight 0.
+    dipole-frame outcome probabilities of branch b of input j, in the
+    branch layout of scatter.
     """
     _check_angle(theta)
     total = np.empty(2)
-    branch = np.zeros((2, 2))
+    branch = np.empty((2, 2))
     proj = np.empty((4, 3))
     for j, angle in enumerate((theta, theta + np.pi / 2.0)):
-        scattered = scatter(angle, variant)
-        total[j] = scattered.total_weight
-        if variant is Variant.DISTINGUISHABLE:
-            branch[j] = [abs(b.amplitude) ** 2 for b in scattered.branches]
-            states = [b.photon_state for b in scattered.branches]
-        else:
-            branch[j, 0] = scattered.total_weight
-            states = [scattered.coherent, scattered.coherent]
-        proj[2 * j : 2 * j + 2] = projection_triple(np.array(states))
+        total[j], branch[j], states = scatter(angle, variant)
+        proj[2 * j : 2 * j + 2] = projection_triple(states)
     return np.array([0.5, 0.5]), total, branch, proj
 
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from stimamp.amplifier import (
-    AtomTag,
     EmissionConstants,
     Variant,
     branch_weights,
@@ -51,33 +50,35 @@ class TestBranchWeights:
 class TestScatter:
     def test_weights_match_amplitudes(self):
         for theta in RNG.uniform(0, np.pi, 500):
-            out = scatter(theta, Variant.DISTINGUISHABLE)
+            total, weights, _ = scatter(theta, Variant.DISTINGUISHABLE)
             w20, w11 = branch_weights(theta)
-            assert abs(out.branches[0].amplitude) ** 2 == pytest.approx(w20, abs=1e-12)
-            assert abs(out.branches[1].amplitude) ** 2 == pytest.approx(w11, abs=1e-12)
-            assert out.total_weight == pytest.approx(w20 + w11, abs=1e-12)
-            assert out.total_weight == pytest.approx(1 + np.cos(theta) ** 2, abs=1e-12)
-
-    def test_atom_tags(self):
-        out = scatter(0.3, Variant.DISTINGUISHABLE)
-        assert out.branches[0].atom is AtomTag.G_THETA
-        assert out.branches[1].atom is AtomTag.G_THETA_PERP
+            assert weights[0] == pytest.approx(w20, abs=1e-12)
+            assert weights[1] == pytest.approx(w11, abs=1e-12)
+            assert total == pytest.approx(w20 + w11, abs=1e-12)
+            assert total == pytest.approx(1 + np.cos(theta) ** 2, abs=1e-12)
 
     def test_aligned_input_single_branch(self):
-        out = scatter(0.0, Variant.DISTINGUISHABLE)
-        assert abs(out.branches[0].amplitude) ** 2 == pytest.approx(2.0, abs=1e-12)
-        assert abs(out.branches[1].amplitude) == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(out.branches[0].photon_state, E20, atol=1e-12)
+        _, weights, states = scatter(0.0, Variant.DISTINGUISHABLE)
+        assert weights[0] == pytest.approx(2.0, abs=1e-12)
+        assert weights[1] == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(states[0], E20, atol=1e-12)
+
+    def test_identical_is_one_coherent_branch(self):
+        for theta in RNG.uniform(-5, 5, 100):
+            total, weights, states = scatter(theta, Variant.IDENTICAL)
+            assert weights[0] == total
+            assert weights[1] == 0
+            np.testing.assert_array_equal(states[0], states[1])
 
     def test_perpendicular_input_coherent_state(self):
-        out = scatter(np.pi / 2, Variant.IDENTICAL)
-        assert projection_triple(out.coherent)[1] == pytest.approx(1.0, abs=1e-12)
+        _, _, states = scatter(np.pi / 2, Variant.IDENTICAL)
+        assert projection_triple(states[0])[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_quarter_pi_coherent_kills_parallel_outcome(self):
-        out = scatter(np.pi / 4, Variant.IDENTICAL)
-        assert projection_triple(out.coherent)[0] == pytest.approx(0.0, abs=1e-12)
+        _, _, states = scatter(np.pi / 4, Variant.IDENTICAL)
+        assert projection_triple(states[0])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_coherent_norm_1000_random(self):
         for theta in RNG.uniform(-5, 5, 1000):
-            out = scatter(theta, Variant.IDENTICAL)
-            assert np.linalg.norm(out.coherent) == pytest.approx(1.0, abs=1e-12)
+            _, _, states = scatter(theta, Variant.IDENTICAL)
+            assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)

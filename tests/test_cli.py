@@ -219,6 +219,8 @@ USAGE_ERRORS = [
     "protocol --bits 012",
     "causality-scan --u 0 2",
     "causality --u 2 --beta 1.0",
+    "causality --u 2 --beta 0.5 -L 1e308 --ell 1e308",  # loop coordinates overflow
+    "causality-scan --u 1.01 1.5 -L 1.7e308",
     *ANGLE_ERRORS,
 ]
 

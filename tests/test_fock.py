@@ -6,7 +6,6 @@ from stimamp.fock import (
     E11,
     E20,
     apply_rotation,
-    canonical_angle,
     projection_triple,
     rotation2,
     single_photon_state,
@@ -15,13 +14,6 @@ from stimamp.fock import (
 )
 
 RNG = np.random.default_rng(20260826)
-
-
-def test_canonical_angle_range():
-    for theta in (-7.3, -np.pi, 0.0, 1.0, np.pi, 5 * np.pi + 0.1):
-        c = canonical_angle(theta)
-        assert 0.0 <= c < np.pi
-        assert abs(np.sin(c - theta)) < 1e-9  # equal modulo pi
 
 
 @pytest.mark.parametrize(

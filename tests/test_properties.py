@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from stimamp.amplifier import Variant
 from stimamp.cli import main
 from stimamp.fock import ATOL_EXACT
+from stimamp.kinematics import violation_threshold
+from stimamp.protocol import reduced_density
 from stimamp.statistics import closed_form_probs, first_principles_probs
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -41,6 +43,13 @@ def test_closed_form_has_period_pi(theta, variant):
     a = closed_form_probs(theta, variant).as_array()
     b = closed_form_probs(shifted, variant).as_array()
     assert np.max(np.abs(a - b)) <= 1e-9
+
+
+@DETERMINISTIC
+@given(angles)
+def test_reduced_density_is_maximally_mixed(theta):
+    # The rounding of theta + pi/2 puts large |theta| up to ~3e-11 off I/2.
+    assert np.max(np.abs(reduced_density(theta) - np.eye(2) / 2)) <= 1e-10
 
 
 @DETERMINISTIC
@@ -77,3 +86,13 @@ def test_probs_never_ends_in_a_traceback(text):
             code = exc.code
     assert code in (0, 2), err.getvalue()
     assert (out.getvalue() == "") == (code == 2)
+
+
+@DETERMINISTIC
+@given(st.floats(1.01, 1e6), st.floats(1.0, 1.7e308))
+def test_violation_threshold_is_right_or_refused(u, L):
+    try:
+        beta = violation_threshold(u, L)
+    except ValueError:
+        return
+    assert abs(beta - 2.0 / (u + 1.0 / u)) <= 1e-9

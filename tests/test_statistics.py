@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,11 @@ from stimamp.statistics import (
 )
 
 RNG = np.random.default_rng(31)
+
+# outcome_table and first_principles_probs as float.hex, 30 angles and both
+# variants, recorded while scatter still returned wrapper objects: a
+# reference independent of its array shape.
+CORE_BITS = json.loads((Path(__file__).parent / "probability_core_bits.json").read_text())
 
 
 def test_probability_triple_validates():
@@ -89,6 +96,14 @@ class TestOutcomeTable:
         _, total, branch, _ = outcome_table(0.4, Variant.IDENTICAL)
         np.testing.assert_array_equal(branch[:, 0], total)
         np.testing.assert_array_equal(branch[:, 1], 0.0)
+
+    @pytest.mark.parametrize("case", CORE_BITS, ids=lambda c: f"{c['variant']}-{c['theta']}")
+    def test_recorded_bits(self, case):
+        theta, variant = float.fromhex(case["theta"]), Variant(case["variant"])
+        arrays = dict(zip(("inputs", "total", "branch", "proj"), outcome_table(theta, variant)))
+        arrays["probs"] = first_principles_probs(theta, variant).as_array()
+        for name, value in arrays.items():
+            assert [float(x).hex() for x in np.ravel(value)] == case[name], name
 
 
 def test_normalization_and_complementarity():
