@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 internal consistency failure (oracle mismatch),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -72,33 +73,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_csv(doc: dict) -> str:
-    """Fixed-column CSV; parameters and summary as '#' comment lines."""
-    lines = [f"# schema_version={doc['schema_version']}", f"# command={doc['command']}"]
-    for key, value in doc["parameters"].items():
-        lines.append(f"# {key}={_fmt(value)}")
-    for key, value in doc.get("summary", {}).items():
-        lines.append(f"# {key}={_fmt(value)}")
-    rows = doc["rows"]
-    if rows:
-        columns = list(rows[0])
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def render(doc: dict, fmt: str) -> str:
+def render(doc: dict, fmt: str, out) -> None:
+    """Write doc to out: JSON, or CSV row by row after '#' lines of parameters and summary."""
     if fmt == "json":
-        return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-    return render_csv(doc)
+        out.write(json.dumps({**doc, "rows": list(doc["rows"])}, indent=2) + "\n")
+        return
+    out.write(f"# schema_version={doc['schema_version']}\n# command={doc['command']}\n")
+    for key, value in (*doc["parameters"].items(), *doc.get("summary", {}).items()):
+        out.write(f"# {key}={_fmt(value)}\n")
+    columns = None
+    for row in doc["rows"]:
+        if columns is None:
+            columns = list(row)
+            out.write(",".join(columns) + "\n")
+        out.write(",".join(_fmt(row[c]) for c in columns) + "\n")
 
 
-def emit(args, rows: list, summary: dict | None = None) -> int:
-    """Build the command's document from its parsed arguments and write it.
+def emit(args, rows, summary: dict | None = None) -> int:
+    """Build the command's document from its parsed arguments and write it
+    to --out or stdout; exit 3 when the write fails.
 
     The parameters are the command's own flags in parser order; a Variant
-    is written by its value.
+    is written by its value.  rows may be any iterable: CSV reads it once,
+    as it writes, so rows that can raise a usage error must come as a list.
     """
     parameters = {
         key: value.value if isinstance(value, Variant) else value
@@ -109,16 +106,13 @@ def emit(args, rows: list, summary: dict | None = None) -> int:
     if summary is not None:
         doc["summary"] = summary
     doc["rows"] = rows
-    text = render(doc, args.format)
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 3
-    else:
-        sys.stdout.write(text)
+    try:
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+            render(doc, args.format, out)
+            out.flush()
+    except OSError as exc:
+        print(f"error: cannot write {args.out or '<stdout>'}: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -146,7 +140,7 @@ def cmd_probs(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    rows = [
+    rows = (
         {
             "theta_rad": theta,
             "p20": triple.p20,
@@ -155,7 +149,7 @@ def cmd_sweep(args) -> int:
             "sigma20_per_lambda2": sigma,
         }
         for theta, triple, sigma in sweep(args.theta_min, args.theta_max, args.steps, args.variant)
-    ]
+    )
     return emit(args, rows)
 
 
@@ -186,12 +180,12 @@ def cmd_protocol(args) -> int:
     )
     # Any character but '0' and '1' maps to -1, which transmit rejects.
     report = transmit(config, ["01".find(c) for c in args.bits])
-    rows = [
+    rows = (
         {"bit_index": i, "sent": s, "decoded": d, "p20_hat": p}
         for i, (s, d, p) in enumerate(
             zip(report.sent_bits, report.decoded_bits, report.per_bit_estimates)
         )
-    ]
+    )
     summary = {"error_rate": report.error_rate}
     for label, theta in (("bit0", args.theta_bit0), ("bit1", args.theta_bit1)):
         lin = linearity_gap(theta, args.variant)

@@ -158,8 +158,9 @@ def monte_carlo_probs(
 def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
     """Uniform angle grid of closed-form triples and differential rates.
 
-    Returns a list of (theta, ProbabilityTriple, sigma20) rows, endpoints
-    inclusive, ordered by theta.
+    Checks its arguments at the call and returns an iterator of
+    (theta, ProbabilityTriple, sigma20) rows, endpoints inclusive, ordered
+    by theta, each computed as it is read.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
@@ -167,7 +168,7 @@ def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
         raise ValueError("theta_min must be < theta_max")
     for theta in (theta_min, theta_max):  # bounded ends keep linspace finite
         _check_angle(theta)
-    rows = []
-    for theta in np.linspace(theta_min, theta_max, steps):
-        rows.append((float(theta), closed_form_probs(theta, variant), differential_sigma_20(theta)))
-    return rows
+    return (
+        (float(theta), closed_form_probs(theta, variant), differential_sigma_20(theta))
+        for theta in np.linspace(theta_min, theta_max, steps)
+    )

@@ -1,12 +1,17 @@
+import contextlib
 import json
+import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stimamp import cli
 from stimamp.cli import build_parser, main, parse_angle
+from stimamp.statistics import ProbabilityTriple
 
 try:
     import jsonschema
@@ -66,6 +71,26 @@ class TestProbs:
     def test_bad_angle_exits_2(self):
         assert run_cli("probs", "--theta", "bogus").returncode == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_oracle_mismatch_writes_the_document_then_exits_1(self, fmt, monkeypatch, capsys):
+        oracle = cli.first_principles_probs
+
+        def shifted(theta, variant):
+            t = oracle(theta, variant)
+            return ProbabilityTriple(t.p20 + 1e-6, t.p11 - 1e-6, t.p02)
+
+        monkeypatch.setattr(cli, "first_principles_probs", shifted)
+        assert main(["probs", "--theta", "pi/8", "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        if fmt == "json":
+            row = json.loads(out)["rows"][0]
+        else:
+            header, values = [line for line in out.splitlines() if not line.startswith("#")]
+            row = dict(zip(header.split(","), values.split(",")))
+            assert out.endswith(values + "\n")
+        assert float(row["max_discrepancy"]) == pytest.approx(1e-6, rel=1e-6)
+        assert err == "error: closed form and projection oracle disagree\n"
+
 
 class TestSweep:
     def test_rows(self):
@@ -86,6 +111,47 @@ class TestSweep:
     def test_unwritable_path_exits_3(self):
         proc = run_cli("sweep", "--out", "/nonexistent-dir/x.csv")
         assert proc.returncode == 3
+
+    def test_csv_memory_does_not_grow_with_steps(self):
+        # The rows are computed and written one at a time; a whole
+        # document of 2e5 rows held as text or row dicts is ~120 MiB.
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--steps", "200000", "--format", "csv"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def assert_clean_write_error(proc):
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(b"error: cannot write"), proc.stderr
+    assert proc.stderr.count(b"\n") == 1, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_disk_on_stdout_exits_3():
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stimamp", "probs", "--theta", "0"], stdout=full, stderr=subprocess.PIPE
+        )
+    assert_clean_write_error(proc)
+
+
+def test_closed_pipe_on_stdout_exits_3():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stimamp", "probs", "--theta", "0"], stdout=write_end, stderr=subprocess.PIPE
+        )
+    finally:
+        os.close(write_end)
+    assert_clean_write_error(proc)
 
 
 class TestMc:

@@ -96,6 +96,12 @@ def test_symmetric_lift_rejects_non_orthogonal():
         symmetric_lift(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("matrix", [np.eye(3), np.eye(2)[0], [[1.0]], np.eye(4)])
+def test_symmetric_lift_rejects_non_2x2(matrix):
+    with pytest.raises(ValueError, match="2x2"):
+        symmetric_lift(matrix)
+
+
 def test_apply_preserves_norm():
     for theta in RNG.uniform(-5, 5, 200):
         amps = RNG.normal(size=3) + 1j * RNG.normal(size=3)

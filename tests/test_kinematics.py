@@ -57,6 +57,11 @@ class TestComposeVelocity:
         with pytest.raises(ValueError):
             compose_velocity(-2.0, 0.5)
 
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, np.inf])
+    def test_rejects_frame_at_or_above_light_speed(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            compose_velocity(0.5, beta)
+
     def test_matches_run_loop_return_leg(self):
         # run_loop never calls compose_velocity, so this is an independent check.
         rng = np.random.default_rng(5)
@@ -150,6 +155,15 @@ class TestViolationThreshold:
     def test_subluminal_sentinel(self):
         assert violation_threshold(1.0) is None
         assert violation_threshold(0.5) is None
+
+    @pytest.mark.parametrize("u", [1.0 + 1e-15, 1.0 + 1e-8, 1.0 + 4e-8])
+    def test_no_threshold_where_it_rounds_to_one(self, u):
+        # 2u/(1 + u^2) = 1 - (u-1)^2/2 + ... lies above the bracket's top,
+        # 1 - 1e-15, so no beta < 1 is found to violate.
+        assert violation_threshold(u) is None
+
+    def test_threshold_just_above_the_rounding_edge(self):
+        assert violation_threshold(1.0 + 5e-8) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("u,L", [(0.0, 1.0), (-2.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, -1.0)])
     def test_rejects_bad_speed_or_length(self, u, L):

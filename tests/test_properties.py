@@ -96,3 +96,48 @@ def test_violation_threshold_is_right_or_refused(u, L):
     except ValueError:
         return
     assert abs(beta - 2.0 / (u + 1.0 / u)) <= 1e-9
+
+
+def run_main(argv):
+    """(exit code, stdout) of an in-process CLI run; argparse's exit included."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def assert_document_or_clean_usage_error(argv):
+    # sweep computes its rows as CSV writes them, and causality-scan's rows
+    # must stay a list: a usage error raised after the first write would
+    # leave a partial document on stdout.
+    code, out = run_main(argv)
+    assert code in (0, 2), argv
+    assert (out == "") == (code == 2), argv
+
+
+# Every double, folded into |x| < 2^21 (twice the angle domain) when finite.
+sweep_ends = st.floats().map(lambda x: math.fmod(x, 2.0**21) if math.isfinite(x) else x)
+speeds = st.one_of(st.floats(1e-300, 1e308), st.sampled_from([0.0, -1.0, -1e-300, math.nan, math.inf, -math.inf]))
+formats = st.sampled_from(["csv", "json"])
+
+
+@DETERMINISTIC
+@given(sweep_ends, sweep_ends, st.integers(-3, 200), formats)
+def test_sweep_flags_give_a_document_or_a_usage_error(a, b, steps, fmt):
+    for lo, hi in ((min(a, b), max(a, b)), (b, a)):
+        assert_document_or_clean_usage_error(
+            ["sweep", f"--theta-min={lo!r}", f"--theta-max={hi!r}", f"--steps={steps}", f"--format={fmt}"]
+        )
+
+
+@DETERMINISTIC
+@given(
+    st.lists(speeds, min_size=1, max_size=3),
+    st.one_of(st.floats(1e-300, 1.7e308), st.sampled_from([0.0, -1.0, math.nan, math.inf])),
+    formats,
+)
+def test_causality_scan_flags_give_a_document_or_a_usage_error(us, L, fmt):
+    assert_document_or_clean_usage_error(["causality-scan", "--u", *map(repr, us), f"-L={L!r}", f"--format={fmt}"])

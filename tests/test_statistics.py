@@ -228,7 +228,7 @@ class TestMonteCarlo:
 
 class TestSweep:
     def test_grid_values(self):
-        rows = sweep(0.0, np.pi / 2, 3, Variant.DISTINGUISHABLE)
+        rows = list(sweep(0.0, np.pi / 2, 3, Variant.DISTINGUISHABLE))
         thetas = [r[0] for r in rows]
         np.testing.assert_allclose(thetas, [0.0, np.pi / 4, np.pi / 2], atol=1e-12)
         np.testing.assert_allclose([r[1].p20 for r in rows], [2 / 3, 1 / 3, 2 / 3], atol=1e-12)
