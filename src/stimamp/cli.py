@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -90,12 +91,11 @@ def render(doc: dict, fmt: str, out) -> None:
 
 
 def emit(args, rows, summary: dict | None = None) -> int:
-    """Build the command's document from its parsed arguments and write it
-    to --out or stdout; exit 3 when the write fails.
+    """Write the command's document to --out or stdout; 3 if the write fails.
 
-    The parameters are the command's own flags in parser order; a Variant
-    is written by its value.  rows may be any iterable: CSV reads it once,
-    as it writes, so rows that can raise a usage error must come as a list.
+    The parameters are the command's own flags in parser order, a Variant
+    by its value.  CSV reads rows once, as it writes, so rows that can
+    raise a usage error must come as a list.
     """
     parameters = {
         key: value.value if isinstance(value, Variant) else value
@@ -103,15 +103,16 @@ def emit(args, rows, summary: dict | None = None) -> int:
         if key not in ("command", "format", "out", "func")
     }
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "parameters": parameters}
-    if summary is not None:
-        doc["summary"] = summary
-    doc["rows"] = rows
+    doc.update({} if summary is None else {"summary": summary}, rows=rows)
     try:
         with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
             render(doc, args.format, out)
             out.flush()
     except OSError as exc:
         print(f"error: cannot write {args.out or '<stdout>'}: {exc}", file=sys.stderr)
+        if not args.out:  # point stdout at devnull, so the flush at exit drops what it buffers
+            with contextlib.suppress(AttributeError, OSError, ValueError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return 3
     return 0
 
@@ -207,8 +208,7 @@ def _loop_row(cfg: LoopConfig) -> dict:
 
 
 def cmd_causality(args) -> int:
-    cfg = LoopConfig(u=args.u, beta=args.beta, L=args.L, ell=args.ell)
-    return emit(args, [_loop_row(cfg)])
+    return emit(args, [_loop_row(LoopConfig(u=args.u, beta=args.beta, L=args.L, ell=args.ell))])
 
 
 def cmd_causality_scan(args) -> int:

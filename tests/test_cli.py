@@ -114,15 +114,28 @@ class TestSweep:
 
     def test_csv_memory_does_not_grow_with_steps(self):
         # The rows are computed and written one at a time; a whole
-        # document of 2e5 rows held as text or row dicts is ~120 MiB.
+        # document of 5e4 rows held as text or row dicts is ~30 MiB.
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
-                assert main(["sweep", "--steps", "200000", "--format", "csv"]) == 0
+                assert main(["sweep", "--steps", "50000", "--format", "csv"]) == 0
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+def probs_to(stdout, buffering):
+    """Run `stimamp probs --theta 0` with the given stdout fd, buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "stimamp", "probs", "--theta", "0"],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
 
 
 def assert_clean_write_error(proc):
@@ -133,22 +146,22 @@ def assert_clean_write_error(proc):
     assert b"Exception ignored" not in proc.stderr
 
 
+# Buffered stdout (the default for a pipe or a file) still holds the
+# document when the write fails, and Python flushes it again at exit.
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_full_disk_on_stdout_exits_3():
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_full_disk_on_stdout_exits_3(buffering):
     with open("/dev/full", "wb") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "stimamp", "probs", "--theta", "0"], stdout=full, stderr=subprocess.PIPE
-        )
+        proc = probs_to(full, buffering)
     assert_clean_write_error(proc)
 
 
-def test_closed_pipe_on_stdout_exits_3():
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+def test_closed_pipe_on_stdout_exits_3(buffering):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "stimamp", "probs", "--theta", "0"], stdout=write_end, stderr=subprocess.PIPE
-        )
+        proc = probs_to(write_end, buffering)
     finally:
         os.close(write_end)
     assert_clean_write_error(proc)

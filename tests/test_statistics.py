@@ -156,7 +156,7 @@ class TestAngleDomain:
             closed_form_probs(np.float64(1e308), Variant.DISTINGUISHABLE)
 
     def test_sweep_bounds_its_ends(self):
-        sweep(-ANGLE_LIMIT, ANGLE_LIMIT, 2, Variant.DISTINGUISHABLE)
+        list(sweep(-ANGLE_LIMIT, ANGLE_LIMIT, 2, Variant.DISTINGUISHABLE))
         with pytest.raises(ValueError, match="theta must satisfy"):
             sweep(-1e308, 1e308, 3, Variant.DISTINGUISHABLE)
 
