@@ -1,6 +1,19 @@
+"""Kinematics tests.
+
+`threshold_bits.json` pins `violation_threshold` and `run_loop` bit for
+bit.  Re-record it only after a deliberate change to the loop arithmetic,
+from the root of a checkout:
+
+    PYTHONPATH=src python tests/test_kinematics.py
+"""
+
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from stimamp import kinematics
 from stimamp.kinematics import (
     Event,
     LoopConfig,
@@ -11,6 +24,24 @@ from stimamp.kinematics import (
 )
 
 RNG = np.random.default_rng(99)
+BITS_PATH = Path(__file__).with_name("threshold_bits.json")
+
+
+def threshold_record(u, L):
+    """violation_threshold(u, L) as float.hex, None or the error text."""
+    try:
+        beta = violation_threshold(u, L)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+    return None if beta is None else beta.hex()
+
+
+def loop_record(u, beta, L, ell):
+    """repr of run_loop's report (repr round-trips every float), or the error text."""
+    try:
+        return repr(run_loop(LoopConfig(u=u, beta=beta, L=L, ell=ell)))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 class TestBoost:
@@ -178,3 +209,50 @@ class TestViolationThreshold:
         assert flips == 1
         assert not run_loop(LoopConfig(u=u, beta=thr - 1e-6)).violated
         assert run_loop(LoopConfig(u=u, beta=thr + 1e-6)).violated
+
+
+# Recorded while the bisection still ran the whole run_loop at every step.
+BITS = json.loads(BITS_PATH.read_text())
+RECORDED_SPEEDS = [float.fromhex(h) for h in BITS["u"]]
+
+
+class TestRecordedBits:
+    @pytest.mark.parametrize("L_hex,row", zip(BITS["L"], BITS["threshold"]), ids=BITS["L"])
+    def test_thresholds(self, L_hex, row):
+        L = float.fromhex(L_hex)
+        assert [threshold_record(u, L) for u in RECORDED_SPEEDS] == row
+
+    def test_loop_reports(self):
+        for config, expected in zip(BITS["loop"], BITS["report"]):
+            assert loop_record(*map(float.fromhex, config)) == expected, config
+
+
+def record():
+    """Inputs for threshold_bits.json and the outputs of the current src/."""
+    rng = np.random.default_rng(2026)
+    edges = [0.5, 1.0, 1.0 + 1e-15, 1.0 + 4e-8, 1.0 + 5e-8]
+    speeds = edges + [1.0 + float(x) for x in 10.0 ** rng.uniform(-9, 300, 2000)]
+    # Above ~9e307 the first bisection steps (small beta) overflow while
+    # the steps near beta = 1 may not.
+    lengths = [1.0, 3.0, 1e-300, 5e-324, *sorted(float(x) for x in 10.0 ** rng.uniform(290, 308.25, 6))]
+    lengths += [1e307, 9e307, 1.2e308, 1.79e308]
+    loops = []
+    for _ in range(200):
+        u = float(10.0 ** rng.uniform(-1, 6))
+        beta = float(rng.choice([rng.uniform(0, 1), 1 - 10.0 ** rng.uniform(-15, -1)]))
+        # Half the lengths near the top of the double range, where coordinates overflow.
+        L, ell = (float(10.0 ** rng.uniform(rng.choice([-300, 300]), 308.25)) for _ in range(2))
+        ell *= float(rng.integers(2))
+        loops.append((u, beta, L, ell))
+    loops += [(2.0, 0.9, 1.0, 0.0), (2.0, 0.5, 1e308, 1e308), (1.01, 0.999999, 1.7e308, 0.0), (0.5, 0.7, 1.0, 0.0)]
+    return {
+        "u": [u.hex() for u in speeds],
+        "L": [L.hex() for L in lengths],
+        "threshold": [[threshold_record(u, L) for u in speeds] for L in lengths],
+        "loop": [[x.hex() for x in cfg] for cfg in loops],
+        "report": [loop_record(*cfg) for cfg in loops],
+    }
+
+
+if __name__ == "__main__":
+    BITS_PATH.write_text(json.dumps(record(), separators=(",", ":")) + "\n")
