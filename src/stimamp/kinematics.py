@@ -76,6 +76,25 @@ def compose_velocity(v: float, beta: float) -> float:
     return (v + beta) / denom
 
 
+def _loop_times(u: float, beta: float, L: float, ell: float) -> tuple[float, float, float, float]:
+    """(t1, x1, t2, t3): handoff1's t and x, handoff2's t, the arrival's t."""
+    t1, x1 = L / u + ell, L + ell  # leg 1 + outbound light leg
+    # Return superluminal leg, parametrized by S' time tau: starting from
+    # handoff1 and moving at -u in S', the S coordinates evolve as
+    # x = x1 + gamma*tau*(beta - u), t = t1 + gamma*tau*(1 - beta*u).
+    # This stays finite even where the S coordinate velocity diverges
+    # (1 - beta*u = 0: the leg is traversed at constant S time).
+    if u <= beta:
+        raise ValueError("return leg never progresses toward the origin (u <= beta)")
+    g = gamma(beta)
+    tau = (x1 - ell) / (g * (u - beta))
+    t2 = t1 + g * tau * (1.0 - beta * u)
+    t3 = t2 + ell  # final light leg; a t1, x1 or t2 that overflowed leaves t3 not finite
+    if not math.isfinite(t3):
+        raise ValueError("loop coordinates overflow: L or ell is too large")
+    return t1, x1, t2, t3
+
+
 def run_loop(cfg: LoopConfig) -> LoopReport:
     """Trace the signal around the loop and report the round-trip time.
 
@@ -86,49 +105,28 @@ def run_loop(cfg: LoopConfig) -> LoopReport:
     length ell in S.  All events in S coordinates.  Raises ValueError
     when a coordinate overflows.
     """
-    u, beta, L, ell = cfg.u, cfg.beta, cfg.L, cfg.ell
-    emission = Event(0.0, 0.0)
-    # Leg 1 + outbound light leg.
-    handoff1 = Event(L / u + ell, L + ell)
-    # Return superluminal leg, parametrized by S' time tau: starting from
-    # handoff1 and moving at -u in S', the S coordinates evolve as
-    # x = x1 + gamma*tau*(beta - u), t = t1 + gamma*tau*(1 - beta*u).
-    # This stays finite even where the S coordinate velocity diverges
-    # (1 - beta*u = 0: the leg is traversed at constant S time).
-    if u <= beta:
-        raise ValueError("return leg never progresses toward the origin (u <= beta)")
-    g = gamma(beta)
-    tau = (handoff1.x - ell) / (g * (u - beta))
-    handoff2 = Event(handoff1.t + g * tau * (1.0 - beta * u), ell)
-    # Final light leg back to the origin.
-    arrival = Event(handoff2.t + ell, 0.0)
-    events = (emission, handoff1, handoff2, arrival)
-    if not all(math.isfinite(e.t) and math.isfinite(e.x) for e in events):
-        raise ValueError("loop coordinates overflow: L or ell is too large")
-    delta_t = float(arrival.t - emission.t)
-    return LoopReport(*events, delta_t, delta_t < 0.0)
+    t1, x1, t2, t3 = _loop_times(cfg.u, cfg.beta, cfg.L, cfg.ell)
+    delta_t = float(t3)
+    return LoopReport(Event(0.0, 0.0), Event(t1, x1), Event(t2, cfg.ell), Event(t3, 0.0), delta_t, delta_t < 0.0)
 
 
 def violation_threshold(u: float, L: float = 1.0) -> float | None:
     """Critical beta above which the loop violates causality.
 
-    Found by bisection on run_loop's delta_t with ell = 0, to an absolute
-    tolerance of 1e-9 in beta; analytically 2u/(1 + u^2).  Returns None
-    for 0 < u <= 1 (light-speed or slower channels never violate).
+    Found by bisection on the loop's round-trip time with ell = 0, to an
+    absolute tolerance of 1e-9 in beta; analytically 2u/(1 + u^2).  Costs
+    one run_loop, for the upper bracket, and ~31 steps of its arithmetic.
+    Returns None for 0 < u <= 1 (light-speed or slower channels never violate).
     """
     LoopConfig(u=u, beta=0.0, L=L)  # rejects a bad u or L before the u <= 1 shortcut
     if u <= 1.0:
         return None
-
-    def delta_t(beta: float) -> float:
-        return run_loop(LoopConfig(u=u, beta=beta, L=L)).delta_t
-
     lo, hi = 0.0, 1.0 - 1e-15
-    if delta_t(hi) >= 0.0:
+    if run_loop(LoopConfig(u=u, beta=hi, L=L)).delta_t >= 0.0:
         return None
     while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if delta_t(mid) > 0.0:
+        mid = 0.5 * (lo + hi)  # 0 <= mid < 1 < u: a valid LoopConfig
+        if _loop_times(u, mid, L, 0.0)[3] > 0.0:
             lo = mid
         else:
             hi = mid

@@ -274,6 +274,13 @@ ANGLE_ERRORS = [
     "protocol --bits 01 --theta-bit0 1.7e308 --theta-bit1=-1.7e308",
 ]
 
+# A value that starts with "-" and is not a plain decimal needs the "=" form,
+# or argparse reads it as an option.
+NEGATIVE_SPEEDS = [
+    "causality-scan --u=-inf",
+    "causality --u=-1e-300 --beta 0.5",
+]
+
 USAGE_ERRORS = [
     "mc --theta nan -n 10",
     "mc --theta inf -n 10",
@@ -301,6 +308,7 @@ USAGE_ERRORS = [
     "causality --u 2 --beta 0.5 -L 1e308 --ell 1e308",  # loop coordinates overflow
     "causality-scan --u 1.01 1.5 -L 1.7e308",
     *ANGLE_ERRORS,
+    *NEGATIVE_SPEEDS,
 ]
 
 
@@ -315,6 +323,12 @@ def test_usage_error_exits_2_cleanly(command, capsys):
     assert out == ""
     assert err.startswith(("usage:", "error:")), err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("command", NEGATIVE_SPEEDS)
+def test_negative_speed_reaches_the_speed_check(command, capsys):
+    assert main(shlex.split(command)) == 2
+    assert capsys.readouterr().err == "error: u must be positive and finite\n"
 
 
 @pytest.mark.parametrize("command", ANGLE_ERRORS)

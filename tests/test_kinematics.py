@@ -227,6 +227,42 @@ class TestRecordedBits:
             assert loop_record(*map(float.fromhex, config)) == expected, config
 
 
+class TestThresholdCost:
+    """violation_threshold runs run_loop once per u > 1; the traced
+    benchmark site kinematics.run_loop depends on that one call."""
+
+    @pytest.mark.parametrize("L", [1.0, 1e-300, 1.79e308])
+    def test_one_run_loop_per_speed_above_light(self, L, monkeypatch):
+        calls = []
+        monkeypatch.setattr(kinematics, "run_loop", lambda cfg: calls.append(cfg) or run_loop(cfg))
+        for u in RECORDED_SPEEDS:
+            calls.clear()
+            threshold_record(u, L)
+            assert len(calls) == (u > 1.0), u
+            assert all(cfg.beta == 1.0 - 1e-15 for cfg in calls)
+
+    def test_every_recorded_overflow_shows_at_the_upper_bracket(self):
+        # With ell = 0 the coordinates are largest at the top of the bracket,
+        # so no recorded (u, L) passes that run_loop and overflows later.
+        hi = 1.0 - 1e-15
+        for L_hex, row in zip(BITS["L"], BITS["threshold"]):
+            L = float.fromhex(L_hex)
+            for u, expected in zip(RECORDED_SPEEDS, row):
+                if expected is not None and expected.startswith("ValueError"):
+                    with pytest.raises(ValueError, match="overflow"):
+                        run_loop(LoopConfig(u=u, beta=hi, L=L))
+
+    def test_a_step_that_overflows_raises(self, monkeypatch):
+        # Let the bracket pass where the first step, beta = 0.5, overflows:
+        # t2 ~ 2L there.  The step must raise, not compare inf or nan.
+        u, L = 1.0 + 1e-9, 1.79e308
+        with pytest.raises(ValueError, match="overflow"):
+            run_loop(LoopConfig(u=u, beta=0.5, L=L))
+        monkeypatch.setattr(kinematics, "run_loop", lambda cfg: run_loop(LoopConfig(u=2.0, beta=0.9)))
+        with pytest.raises(ValueError, match="overflow"):
+            violation_threshold(u, L)
+
+
 def record():
     """Inputs for threshold_bits.json and the outputs of the current src/."""
     rng = np.random.default_rng(2026)

@@ -6,6 +6,7 @@ same examples and the suite stays deterministic.
 
 import contextlib
 import io
+import json
 import math
 
 import numpy as np
@@ -141,3 +142,25 @@ def test_sweep_flags_give_a_document_or_a_usage_error(a, b, steps, fmt):
 )
 def test_causality_scan_flags_give_a_document_or_a_usage_error(us, L, fmt):
     assert_document_or_clean_usage_error(["causality-scan", "--u", *map(repr, us), f"-L={L!r}", f"--format={fmt}"])
+
+
+# Every double, nan and +-inf included, or one from each flag's valid range,
+# so that documents, not only usage errors, are checked.
+doubles = st.floats()
+lengths = st.one_of(doubles, st.floats(0.0, 1.7e308))
+
+
+def no_constant(name):
+    raise AssertionError(f"{name} in a JSON document")
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(lengths, st.one_of(doubles, st.floats(0.0, 1.0, exclude_max=True)), lengths, lengths)
+def test_causality_flags_give_a_consistent_document_or_a_usage_error(u, beta, L, ell):
+    argv = ["causality", f"--u={u!r}", f"--beta={beta!r}", f"-L={L!r}", f"--ell={ell!r}"]
+    code, out = run_main(argv)
+    assert code in (0, 2), argv
+    assert (out == "") == (code == 2), argv
+    if code == 0:
+        (row,) = json.loads(out, parse_constant=no_constant)["rows"]  # no NaN or Infinity
+        assert row["violated"] == (row["delta_t"] < 0), argv
