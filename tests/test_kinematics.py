@@ -25,6 +25,9 @@ from stimamp.kinematics import (
 
 RNG = np.random.default_rng(99)
 BITS_PATH = Path(__file__).with_name("threshold_bits.json")
+# Recorded while the bisection still ran the whole run_loop at every step.
+BITS = json.loads(BITS_PATH.read_text())
+RECORDED_SPEEDS = [float.fromhex(h) for h in BITS["u"]]
 
 
 def threshold_record(u, L):
@@ -211,11 +214,6 @@ class TestViolationThreshold:
         assert run_loop(LoopConfig(u=u, beta=thr + 1e-6)).violated
 
 
-# Recorded while the bisection still ran the whole run_loop at every step.
-BITS = json.loads(BITS_PATH.read_text())
-RECORDED_SPEEDS = [float.fromhex(h) for h in BITS["u"]]
-
-
 class TestRecordedBits:
     @pytest.mark.parametrize("L_hex,row", zip(BITS["L"], BITS["threshold"]), ids=BITS["L"])
     def test_thresholds(self, L_hex, row):
@@ -234,7 +232,12 @@ class TestThresholdCost:
     @pytest.mark.parametrize("L", [1.0, 1e-300, 1.79e308])
     def test_one_run_loop_per_speed_above_light(self, L, monkeypatch):
         calls = []
-        monkeypatch.setattr(kinematics, "run_loop", lambda cfg: calls.append(cfg) or run_loop(cfg))
+
+        def counted(cfg):
+            calls.append(cfg)
+            return run_loop(cfg)
+
+        monkeypatch.setattr(kinematics, "run_loop", counted)
         for u in RECORDED_SPEEDS:
             calls.clear()
             threshold_record(u, L)
@@ -268,8 +271,7 @@ def record():
     rng = np.random.default_rng(2026)
     edges = [0.5, 1.0, 1.0 + 1e-15, 1.0 + 4e-8, 1.0 + 5e-8]
     speeds = edges + [1.0 + float(x) for x in 10.0 ** rng.uniform(-9, 300, 2000)]
-    # Above ~9e307 the first bisection steps (small beta) overflow while
-    # the steps near beta = 1 may not.
+    # Near the top of the double range the loop overflows for u near 1.
     lengths = [1.0, 3.0, 1e-300, 5e-324, *sorted(float(x) for x in 10.0 ** rng.uniform(290, 308.25, 6))]
     lengths += [1e307, 9e307, 1.2e308, 1.79e308]
     loops = []
