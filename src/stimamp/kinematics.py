@@ -113,20 +113,23 @@ def run_loop(cfg: LoopConfig) -> LoopReport:
 def violation_threshold(u: float, L: float = 1.0) -> float | None:
     """Critical beta above which the loop violates causality.
 
-    Found by bisection on the loop's round-trip time with ell = 0, to an
-    absolute tolerance of 1e-9 in beta; analytically 2u/(1 + u^2).  Costs
-    one run_loop, for the upper bracket, and ~31 steps of its arithmetic.
-    Returns None for 0 < u <= 1 (light-speed or slower channels never violate).
+    Found by bisection on the round-trip time of the unit loop (L = 1,
+    ell = 0), to an absolute tolerance of 1e-9 in beta; analytically
+    2u/(1 + u^2).  With ell = 0 the time scales with L, so L does not
+    change the answer: it is only checked, never used.  Costs one
+    run_loop, for the upper bracket, and ~31 steps of its arithmetic.
+    Returns None for 0 < u <= 1 (light-speed or slower channels never
+    violate) and for 1 < u <= 1 + 4e-8, where the threshold rounds to 1.
     """
     LoopConfig(u=u, beta=0.0, L=L)  # rejects a bad u or L before the u <= 1 shortcut
     if u <= 1.0:
         return None
     lo, hi = 0.0, 1.0 - 1e-15
-    if run_loop(LoopConfig(u=u, beta=hi, L=L)).delta_t >= 0.0:
+    if run_loop(LoopConfig(u=u, beta=hi)).delta_t >= 0.0:
         return None
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)  # 0 <= mid < 1 < u: a valid LoopConfig
-        if _loop_times(u, mid, L, 0.0)[3] > 0.0:
+        if _loop_times(u, mid, 1.0, 0.0)[3] > 0.0:
             lo = mid
         else:
             hi = mid
