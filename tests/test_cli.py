@@ -306,7 +306,6 @@ USAGE_ERRORS = [
     "causality-scan --u 0 2",
     "causality --u 2 --beta 1.0",
     "causality --u 2 --beta 0.5 -L 1e308 --ell 1e308",  # loop coordinates overflow
-    "causality-scan --u 1.01 1.5 -L 1.7e308",
     *ANGLE_ERRORS,
     *NEGATIVE_SPEEDS,
 ]
@@ -323,6 +322,22 @@ def test_usage_error_exits_2_cleanly(command, capsys):
     assert out == ""
     assert err.startswith(("usage:", "error:")), err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize(
+    "speeds,L",
+    [
+        ("1.01 1.5", "1.7e308"),  # the loop's coordinates would overflow
+        ("2 1.01 1e9", "5e-324"),  # its round-trip time would underflow to 0
+    ],
+)
+def test_scan_thresholds_do_not_depend_on_L(speeds, L, capsys):
+    # The same document as at L = 1, but for the "# L=" parameter line.
+    docs = []
+    for length in ("1", L):
+        assert main(["causality-scan", "--u", *speeds.split(), "-L", length, "--format", "csv"]) == 0
+        docs.append([line for line in capsys.readouterr().out.splitlines() if not line.startswith("# L=")])
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("command", NEGATIVE_SPEEDS)
