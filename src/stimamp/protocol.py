@@ -50,15 +50,9 @@ class TransmissionReport:
 
 @dataclass(frozen=True)
 class LinearityReport:
-    theta: float
     p_paper: float
     p_linear: float
     gap: float
-
-
-def _bit_seed(seed: int, index: int) -> np.random.SeedSequence:
-    # Deterministic per-bit substream; bits may be simulated in parallel.
-    return np.random.SeedSequence((seed, index))
 
 
 def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
@@ -80,7 +74,9 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
     estimates = []
     for i, bit in enumerate(bits):
         theta = config.theta_bit1 if bit else config.theta_bit0
-        _, est = monte_carlo_probs(theta, config.variant, config.pairs_per_bit, _bit_seed(config.seed, i))
+        # Deterministic per-bit substream; bits may be simulated in parallel.
+        seed = np.random.SeedSequence((config.seed, i))
+        _, est = monte_carlo_probs(theta, config.variant, config.pairs_per_bit, seed)
         estimates.append(est.p20)
         if est.p20 == midpoint:
             decoded.append(0)
@@ -112,4 +108,4 @@ def linearity_gap(theta: float, variant: Variant) -> LinearityReport:
     """
     p_paper = closed_form_probs(theta, variant).p20
     p_linear = closed_form_probs(0.0, variant).p20
-    return LinearityReport(theta, p_paper, p_linear, p_paper - p_linear)
+    return LinearityReport(p_paper, p_linear, p_paper - p_linear)
