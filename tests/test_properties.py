@@ -90,13 +90,9 @@ def test_probs_never_ends_in_a_traceback(text):
 
 
 @DETERMINISTIC
-@given(st.floats(1.01, 1e6), st.floats(1.0, 1.7e308))
-def test_violation_threshold_is_right_or_refused(u, L):
-    try:
-        beta = violation_threshold(u, L)
-    except ValueError:
-        return
-    assert abs(beta - 2.0 / (u + 1.0 / u)) <= 1e-9
+@given(st.floats(1.01, 1e6), st.floats(0.0, exclude_min=True, allow_infinity=False))
+def test_violation_threshold_is_right_at_every_length(u, L):
+    assert abs(violation_threshold(u, L) - 2.0 / (u + 1.0 / u)) <= 1e-9
 
 
 def run_main(argv):
@@ -163,3 +159,56 @@ def test_causality_flags_give_a_consistent_document_or_a_usage_error(u, beta, L,
     if code == 0:
         (row,) = json.loads(out, parse_constant=no_constant)["rows"]  # no NaN or Infinity
         assert row["violated"] == (row["delta_t"] < 0), argv
+
+
+# A flag's value as text: one from valid, or one time in four any double or
+# any of ints, nan, +-inf and negatives included.
+def literals(valid, ints=st.integers()):
+    wild = st.one_of(doubles, ints)
+    return st.integers(0, 3).flatmap(lambda k: valid if k else wild).map(str)
+
+
+flag_angles = literals(angles)
+flag_variants = literals(st.sampled_from(["distinguishable", "identical", "IDENTICAL"]))
+flag_seeds = literals(st.integers(0, 2**64))
+
+
+def shot_counts(limit):
+    """-n or --pairs-per-bit: at most limit shots, so the runs stay fast."""
+    return literals(st.integers(1, limit), st.integers(max_value=limit))
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(flag_angles, shot_counts(2000), flag_seeds, flag_variants)
+def test_mc_flags_give_a_consistent_document_or_a_usage_error(theta, n, seed, variant):
+    argv = ["mc", f"--theta={theta}", f"-n={n}", f"--seed={seed}", f"--variant={variant}"]
+    code, out = assert_document_or_clean_usage_error(argv)
+    if code == 0:
+        doc = json.loads(out, parse_constant=no_constant)
+        (row,) = doc["rows"]
+        assert row["n20"] + row["n11"] + row["n02"] == row["total"] == doc["parameters"]["n"], argv
+
+
+@st.composite
+def protocol_argvs(draw):
+    bits = draw(literals(st.text("01", min_size=1, max_size=10)) | st.text(max_size=4))
+    pairs = draw(shot_counts(2000 // max(1, len(bits))))  # at most 2000 pairs in all
+    argv = ["protocol", f"--bits={bits}", f"--pairs-per-bit={pairs}"]
+    for flag, values in (
+        ("--theta-bit0", flag_angles),
+        ("--theta-bit1", flag_angles),
+        ("--variant", flag_variants),
+        ("--seed", flag_seeds),
+    ):
+        value = draw(st.none() | values)  # None leaves the flag at its default
+        argv += [] if value is None else [f"{flag}={value}"]
+    return argv
+
+
+@settings(DETERMINISTIC, max_examples=300)
+@given(protocol_argvs())
+def test_protocol_flags_give_a_consistent_document_or_a_usage_error(argv):
+    code, out = assert_document_or_clean_usage_error(argv)
+    if code == 0:
+        doc = json.loads(out, parse_constant=no_constant)
+        assert "".join(str(row["sent"]) for row in doc["rows"]) == doc["parameters"]["bits"], argv
