@@ -212,7 +212,8 @@ def cmd_causality(args) -> int:
 
 
 def cmd_causality_scan(args) -> int:
-    rows = [{"u": u, "threshold_beta": violation_threshold(u, args.L)} for u in args.u]
+    LoopConfig(u=1.0, beta=0.0, L=args.L)  # -L only labels the document, but must be a valid length
+    rows = [{"u": u, "threshold_beta": violation_threshold(u)} for u in args.u]
     return emit(args, rows)
 
 

@@ -298,6 +298,8 @@ USAGE_ERRORS = [
     "causality-scan --u nan",
     "causality-scan --u inf",
     "causality-scan --u 0.5 -L nan",
+    "causality-scan --u 2 -L 0",
+    "causality-scan --u 2 -L=-inf",
     "mc --theta 0 -n 10 --seed -1",
     "protocol --bits 01 --pairs-per-bit 10 --seed -1",
     "sweep --steps 1",

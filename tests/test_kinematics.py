@@ -25,16 +25,16 @@ from stimamp.kinematics import (
 
 RNG = np.random.default_rng(99)
 BITS_PATH = Path(__file__).with_name("threshold_bits.json")
-# The reports and the L = 1 and L = 3 thresholds date from a bisection that
-# ran the whole run_loop, L included, at every step.
+# The reports and the thresholds date from a bisection that ran the whole
+# run_loop at every step.
 BITS = json.loads(BITS_PATH.read_text())
 RECORDED_SPEEDS = [float.fromhex(h) for h in BITS["u"]]
 
 
-def threshold_record(u, L):
-    """violation_threshold(u, L) as float.hex, None or the error text."""
+def threshold_record(u):
+    """violation_threshold(u) as float.hex, None or the error text."""
     try:
-        beta = violation_threshold(u, L)
+        beta = violation_threshold(u)
     except ValueError as exc:
         return f"ValueError: {exc}"
     return None if beta is None else beta.hex()
@@ -200,10 +200,10 @@ class TestViolationThreshold:
     def test_threshold_just_above_the_rounding_edge(self):
         assert violation_threshold(1.0 + 5e-8) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("u,L", [(0.0, 1.0), (-2.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, -1.0)])
-    def test_rejects_bad_speed_or_length(self, u, L):
-        with pytest.raises(ValueError):
-            violation_threshold(u, L)
+    @pytest.mark.parametrize("u", [0.0, -2.0, np.nan, np.inf])
+    def test_rejects_bad_speed(self, u):
+        with pytest.raises(ValueError, match="u must be positive and finite"):
+            violation_threshold(u)
 
     def test_flip_happens_exactly_once(self):
         u = 3.0
@@ -216,15 +216,8 @@ class TestViolationThreshold:
 
 
 class TestRecordedBits:
-    @pytest.mark.parametrize("L_hex,row", zip(BITS["L"], BITS["threshold"]), ids=BITS["L"])
-    def test_thresholds(self, L_hex, row):
-        L = float.fromhex(L_hex)
-        assert [threshold_record(u, L) for u in RECORDED_SPEEDS] == row
-
-    def test_threshold_does_not_depend_on_L(self):
-        unit = BITS["threshold"][BITS["L"].index((1.0).hex())]
-        for L_hex, row in zip(BITS["L"], BITS["threshold"]):
-            assert row == unit, L_hex
+    def test_thresholds(self):
+        assert [threshold_record(u) for u in RECORDED_SPEEDS] == BITS["threshold"][0]
 
     def test_loop_reports(self):
         for config, expected in zip(BITS["loop"], BITS["report"]):
@@ -235,8 +228,7 @@ class TestThresholdCost:
     """violation_threshold runs run_loop once per u > 1; the traced
     benchmark site kinematics.run_loop depends on that one call."""
 
-    @pytest.mark.parametrize("L", [1.0, 1e-300, 1.79e308])
-    def test_one_run_loop_per_speed_above_light(self, L, monkeypatch):
+    def test_one_run_loop_per_speed_above_light(self, monkeypatch):
         calls = []
 
         def counted(cfg):
@@ -246,7 +238,7 @@ class TestThresholdCost:
         monkeypatch.setattr(kinematics, "run_loop", counted)
         for u in RECORDED_SPEEDS:
             calls.clear()
-            threshold_record(u, L)
+            threshold_record(u)
             assert len(calls) == (u > 1.0), u
             assert all(cfg.beta == 1.0 - 1e-15 for cfg in calls)
 

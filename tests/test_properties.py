@@ -90,9 +90,9 @@ def test_probs_never_ends_in_a_traceback(text):
 
 
 @DETERMINISTIC
-@given(st.floats(1.01, 1e6), st.floats(0.0, exclude_min=True, allow_infinity=False))
-def test_violation_threshold_is_right_at_every_length(u, L):
-    assert abs(violation_threshold(u, L) - 2.0 / (u + 1.0 / u)) <= 1e-9
+@given(st.floats(1.01, 1e6))
+def test_violation_threshold_matches_the_closed_form(u):
+    assert abs(violation_threshold(u) - 2.0 / (u + 1.0 / u)) <= 1e-9
 
 
 def run_main(argv):
@@ -138,7 +138,16 @@ def test_sweep_flags_give_a_document_or_a_usage_error(a, b, steps, fmt):
     formats,
 )
 def test_causality_scan_flags_give_a_document_or_a_usage_error(us, L, fmt):
-    assert_document_or_clean_usage_error(["causality-scan", "--u", *map(repr, us), f"-L={L!r}", f"--format={fmt}"])
+    def scan(length):
+        return ["causality-scan", "--u", *map(repr, us), f"-L={length}", f"--format={fmt}"]
+
+    def rows(out):  # the document but for its L parameter line
+        return [line for line in out.splitlines() if not line.lstrip().startswith(("# L=", '"L": '))]
+
+    code, out = assert_document_or_clean_usage_error(scan(repr(L)))
+    if code == 0:  # -L only labels the document
+        unit_code, unit_out = run_main(scan("1"))
+        assert unit_code == 0 and rows(unit_out) == rows(out), us
 
 
 # Every double, nan and +-inf included, or one from each flag's valid range,
