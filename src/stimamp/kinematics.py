@@ -91,7 +91,7 @@ def _loop_times(u: float, beta: float, L: float, ell: float) -> tuple[float, flo
     t2 = t1 + g * tau * (1.0 - beta * u)
     t3 = t2 + ell  # final light leg; a t1, x1 or t2 that overflowed leaves t3 not finite
     if not math.isfinite(t3):
-        raise ValueError("loop coordinates overflow: L or ell is too large")
+        raise ValueError("loop coordinates overflow: L or ell is too large, or u is too small or too close to beta")
     return t1, x1, t2, t3
 
 

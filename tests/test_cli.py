@@ -348,6 +348,14 @@ def test_negative_speed_reaches_the_speed_check(command, capsys):
     assert capsys.readouterr().err == "error: u must be positive and finite\n"
 
 
+def test_loop_overflow_names_u(capsys):
+    # L/u overflows at the default L = 1: the speed, not a length, is at fault.
+    assert main(["causality", "--u", "1e-310", "--beta", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: loop coordinates overflow: L or ell is too large, or u is too small or too close to beta\n"
+
+
 @pytest.mark.parametrize("command", ANGLE_ERRORS)
 def test_angle_error_names_theta(command):
     # A subprocess: stderr as a user sees it, numpy warnings included.
