@@ -9,6 +9,7 @@ seeded Monte Carlo.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,9 +167,14 @@ def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
         raise ValueError("steps must be >= 2")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be < theta_max")
-    for theta in (theta_min, theta_max):  # bounded ends keep linspace finite
+    for theta in (theta_min, theta_max):  # bounded ends keep the grid finite
         _check_angle(theta)
+    # np.linspace's values, one at a time: i * step + theta_min, or
+    # i / div * delta + theta_min where step underflows to 0, then theta_max.
+    delta, div = theta_max - theta_min, steps - 1
+    step = delta / div
+    grid = (i * step + theta_min if step else i / div * delta + theta_min for i in range(div))
     return (
         (float(theta), closed_form_probs(theta, variant), differential_sigma_20(theta))
-        for theta in np.linspace(theta_min, theta_max, steps)
+        for theta in itertools.chain(grid, [theta_max])
     )

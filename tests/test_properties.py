@@ -10,7 +10,7 @@ import json
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stimamp.amplifier import Variant
@@ -18,7 +18,7 @@ from stimamp.cli import main
 from stimamp.fock import ATOL_EXACT
 from stimamp.kinematics import violation_threshold
 from stimamp.protocol import reduced_density
-from stimamp.statistics import closed_form_probs, first_principles_probs
+from stimamp.statistics import closed_form_probs, first_principles_probs, sweep
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
@@ -62,6 +62,21 @@ def test_angles_beyond_the_domain_are_rejected(theta, variant):
         assert "theta must satisfy" in str(exc)
     else:
         raise AssertionError(f"accepted theta={theta!r}")
+
+
+# Tiny ends too, and multiples of the smallest subnormal, so that some
+# spans are subnormal and step underflows to 0.
+grid_ends = st.one_of(angles, st.floats(-1e-300, 1e-300), st.integers(-1000, 1000).map(lambda k: k * 5e-324))
+
+
+@DETERMINISTIC
+@given(grid_ends, grid_ends, st.integers(2, 300))
+@example(0.0, 3 * 5e-324, 100)  # step = delta / 99 underflows to 0
+def test_sweep_grid_is_linspace_bit_for_bit(a, b, steps):
+    assume(a != b)
+    lo, hi = min(a, b), max(a, b)
+    grid = [theta.hex() for theta, _, _ in sweep(lo, hi, steps, Variant.DISTINGUISHABLE)]
+    assert grid == [float(theta).hex() for theta in np.linspace(lo, hi, steps)]
 
 
 angle_texts = st.one_of(

@@ -241,6 +241,18 @@ class TestSweep:
         for _, triple, _ in sweep(-1.0, 4.0, 57, Variant.IDENTICAL):
             assert triple.p20 + triple.p11 + triple.p02 == pytest.approx(1.0, abs=1e-12)
 
+    def test_grid_memory_does_not_grow_with_steps(self):
+        # np.linspace would hold all 1e7 angles: 76 MiB.
+        tracemalloc.start()
+        try:
+            rows = sweep(0.0, 1.0, 10**7, Variant.DISTINGUISHABLE)
+            for _ in range(3):
+                next(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             sweep(0.0, 1.0, 1, Variant.DISTINGUISHABLE)
