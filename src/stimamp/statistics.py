@@ -125,8 +125,9 @@ def monte_carlo_probs(
     Stream discipline: one PCG64 stream from the seed; each candidate shot
     consumes four uniforms in order (input angle, two-photon acceptance,
     branch, outcome), row-major, in fixed-size chunks of one reused
-    buffer; memory does not grow with n.  The input angle is drawn 1/2
-    each and a candidate is kept with probability total_weight/2, which
+    buffer; memory does not grow with n.  The input angle is drawn with
+    outcome_table's input weights (1/2 each), the same mixture the oracle
+    averages, and a candidate is kept with probability total_weight/2, which
     conditions on two-photon events; branch and outcome use inverse-CDF
     over the fixed orderings with boundary ties resolved to the lower
     index.  Deterministic for a fixed seed.
@@ -134,7 +135,7 @@ def monte_carlo_probs(
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    _, total, bw, proj = outcome_table(theta, variant)
+    inputs, total, bw, proj = outcome_table(theta, variant)
     accept = total / 2.0
     p_branch0 = bw[:, 0] / bw.sum(axis=1)
     lo, hi = np.cumsum(proj, axis=1)[:, :2].T  # outcome thresholds of each row
@@ -144,7 +145,7 @@ def monte_carlo_probs(
     while remaining > 0:
         u = buf[: min(len(buf), int(remaining / 0.7) + 16)]
         rng.random(out=u)
-        inp = (u[:, 0] >= 0.5).astype(np.intp)
+        inp = (u[:, 0] >= inputs[0]).astype(np.intp)
         kept = np.flatnonzero(u[:, 1] < accept[inp])[:remaining]
         v = u[kept]
         inp = inp[kept]
