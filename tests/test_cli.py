@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +300,8 @@ USAGE_ERRORS = [
     "causality-scan --u inf",
     "causality-scan --u 0.5 -L nan",
     "causality-scan --u 2 -L 0",
+    "causality-scan --u 2 -L=-1",
+    "causality-scan --u 2 -L inf",
     "causality-scan --u 2 -L=-inf",
     "mc --theta 0 -n 10 --seed -1",
     "protocol --bits 01 --pairs-per-bit 10 --seed -1",
@@ -340,6 +343,33 @@ def test_scan_thresholds_do_not_depend_on_L(speeds, L, capsys):
         assert main(["causality-scan", "--u", *speeds.split(), "-L", length, "--format", "csv"]) == 0
         docs.append([line for line in capsys.readouterr().out.splitlines() if not line.startswith("# L=")])
     assert docs[0] == docs[1]
+
+
+THRESHOLD_BITS = json.loads((Path(__file__).with_name("threshold_bits.json")).read_text())
+
+# Unit, tiny and subnormal lengths, and lengths near the top of the double
+# range, where L/u overflows or L/(1 + u) rounds to infinity.
+SCAN_LENGTHS = [
+    float.fromhex(h)
+    for h in (
+        "0x1.0000000000000p+0", "0x1.8000000000000p+1", "0x1.56e1fc2f8f359p-997",
+        "0x0.0000000000001p-1022", "0x1.140bc741d1ecap+975", "0x1.9a579923403b6p+1002",
+        "0x1.0431d671666c4p+1019", "0x1.c7b1f3cac7433p+1019", "0x1.d129439bb438fp+1021",
+        "0x1.e170d0060db07p+1022", "0x1.eb1b2499e1790p+1020", "0x1.005419221015dp+1023",
+        "0x1.55c576d815726p+1023", "0x1.fdcf158adbb99p+1023",
+    )
+]
+
+
+@pytest.mark.parametrize("L", SCAN_LENGTHS, ids=float.hex)
+def test_scan_prints_the_recorded_thresholds_at_every_length(L, capsys):
+    # Every recorded speed at once: the rows are the bit-lock's one threshold row.
+    speeds = [repr(float.fromhex(h)) for h in THRESHOLD_BITS["u"]]
+    assert main(["causality-scan", "--u", *speeds, "-L", repr(L)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parameters"]["L"] == L
+    thresholds = [row["threshold_beta"] for row in doc["rows"]]
+    assert [None if beta is None else beta.hex() for beta in thresholds] == THRESHOLD_BITS["threshold"]
 
 
 @pytest.mark.parametrize("command", NEGATIVE_SPEEDS)
