@@ -58,6 +58,7 @@ def corpus() -> list[str]:
             f"mc --seed 3 -n 5 --variant identical --theta=-pi/8 --format {f}",
             f"sweep --steps 3 --theta-max 3pi/8 --theta-min pi/8 --format {f}",
             f"protocol --seed 1 --theta-bit1=-pi/8 --theta-bit0 pi/8 --pairs-per-bit 20 --bits 0110 --format {f}",
+            f"protocol --seed 1 --theta-bit1=-pi/8 --theta-bit0 pi/4 --pairs-per-bit 20 --bits 0110 --format {f}",
             f"probs --format {f} --variant identical --theta 3pi/4",
         ]
     # Usage and I/O errors: nothing on stdout.
