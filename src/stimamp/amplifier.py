@@ -68,6 +68,8 @@ def scatter(theta: float, variant: Variant) -> tuple[float, np.ndarray, np.ndarr
     for the both-parallel branch and sin(theta) for the mixed branch; this
     is the unique real choice reproducing the coherent-variant statistics.
     """
+    if not isinstance(variant, Variant):
+        raise ValueError(f"variant must be a Variant, got {variant!r}")
     c, s = np.cos(theta), np.sin(theta)
     u = two_photon_rotation(theta)
     state20 = apply_rotation(u, E20)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .amplifier import Variant
 from .fock import ATOL_EXACT, single_photon_state
-from .statistics import _check_angle, closed_form_probs, monte_carlo_probs
+from .statistics import closed_form_probs, monte_carlo_probs
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,10 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.pairs_per_bit < 1:
             raise ValueError("pairs_per_bit must be >= 1")
-        for theta in (self.theta_bit0, self.theta_bit1):  # before their difference can overflow
-            _check_angle(theta)
-        # Symbols merging modulo pi/2 share identical outcome statistics.
-        gap = np.mod(self.theta_bit0 - self.theta_bit1, np.pi / 2.0)
-        if min(gap, np.pi / 2.0 - gap) < ATOL_EXACT:
-            raise ValueError("symbol angles coincide modulo pi/2")
+        # The decoder tells the symbols apart by their |2,0> probabilities alone.
+        p0, p1 = (closed_form_probs(t, self.variant).p20 for t in (self.theta_bit0, self.theta_bit1))
+        if abs(p0 - p1) < ATOL_EXACT:
+            raise ValueError("symbols have the same |2,0> probability")
 
 
 @dataclass(frozen=True)
@@ -89,8 +87,8 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
 def reduced_density(theta: float) -> np.ndarray:
     """Bob's reduced density matrix, (|theta><theta| + |perp><perp|)/2.
 
-    Analytically I/2 for every theta; computed, not hard-coded, so the
-    linearity diagnostic rests on an actual calculation.
+    Computed, not hard-coded: I/2 for every theta, which is why any theta,
+    here 0, gives linearity_gap its linear prediction.
     """
     rho = np.zeros((2, 2), dtype=complex)
     for angle in (theta, theta + np.pi / 2.0):

@@ -70,6 +70,8 @@ def _check_angle(theta: float) -> None:
 
 def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     """Closed-form outcome triple for the orthogonal-pair mixture."""
+    if not isinstance(variant, Variant):
+        raise ValueError(f"variant must be a Variant, got {variant!r}")
     _check_angle(theta)
     c2 = np.cos(2.0 * theta) ** 2
     s2 = np.sin(2.0 * theta) ** 2

@@ -78,6 +78,11 @@ class TestScatter:
         _, _, states = scatter(np.pi / 4, Variant.IDENTICAL)
         assert projection_triple(states[0])[0] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("variant", ["identical", None])
+    def test_rejects_variant_that_is_not_a_member(self, variant):
+        with pytest.raises(ValueError, match="variant must be a Variant"):
+            scatter(0.3, variant)
+
     def test_coherent_norm_1000_random(self):
         for theta in RNG.uniform(-5, 5, 1000):
             _, _, states = scatter(theta, Variant.IDENTICAL)

@@ -308,6 +308,7 @@ USAGE_ERRORS = [
     "sweep --steps 1",
     "mc --theta 0 -n 0",
     "protocol --bits 012",
+    "protocol --seed 1 --theta-bit1=-pi/8 --theta-bit0 pi/8 --pairs-per-bit 20 --bits 0110",  # mirror symbols
     "causality-scan --u 0 2",
     "causality --u 2 --beta 1.0",
     "causality --u 2 --beta 0.5 -L 1e308 --ell 1e308",  # loop coordinates overflow

@@ -10,6 +10,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from stimamp.amplifier import Variant
 from stimamp.cli import main
 from stimamp.fock import ATOL_EXACT
 from stimamp.kinematics import violation_threshold
-from stimamp.protocol import reduced_density
+from stimamp.protocol import ProtocolConfig, reduced_density
 from stimamp.statistics import closed_form_probs, first_principles_probs, sweep
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
@@ -62,6 +63,15 @@ def test_angles_beyond_the_domain_are_rejected(theta, variant):
         assert "theta must satisfy" in str(exc)
     else:
         raise AssertionError(f"accepted theta={theta!r}")
+
+
+@DETERMINISTIC
+@given(st.floats(-1e4, 1e4), st.integers(-3, 3), st.booleans(), variants)
+def test_protocol_rejects_shifted_and_mirrored_symbols(theta, k, mirror, variant):
+    # theta + k pi/2 and -theta + k pi/2 have theta's |2,0> probability.
+    other = (-theta if mirror else theta) + k * math.pi / 2.0
+    with pytest.raises(ValueError, match=r"same \|2,0> probability"):
+        ProtocolConfig(1, theta, other, variant)
 
 
 # Tiny ends too, and multiples of the smallest subnormal, so that some

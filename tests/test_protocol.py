@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stimamp import protocol
 from stimamp.amplifier import Variant
 from stimamp.protocol import (
     ProtocolConfig,
@@ -8,6 +9,7 @@ from stimamp.protocol import (
     reduced_density,
     transmit,
 )
+from stimamp.statistics import ProbabilityTriple, closed_form_probs
 
 RNG = np.random.default_rng(11)
 
@@ -22,6 +24,23 @@ class TestConfig:
         # pi/2 apart means identical outcome statistics
         with pytest.raises(ValueError):
             ProtocolConfig(pairs_per_bit=100, theta_bit0=0.0, theta_bit1=np.pi / 2)
+
+    @pytest.mark.parametrize("variant", Variant)
+    def test_rejects_mirror_symbols(self, variant):
+        # -theta has theta's |2,0> probability, so the decoder cannot tell them apart.
+        with pytest.raises(ValueError, match=r"same \|2,0> probability"):
+            ProtocolConfig(pairs_per_bit=100, theta_bit0=np.pi / 8, theta_bit1=-np.pi / 8, variant=variant)
+
+    def test_rejects_symbols_within_tolerance_near_a_flat_point(self):
+        # p20 is flat at theta = 0: 1e-7 moves it ~1.3e-14, 1e-6 ~1.3e-12.
+        with pytest.raises(ValueError, match=r"same \|2,0> probability"):
+            ProtocolConfig(pairs_per_bit=100, theta_bit0=0.0, theta_bit1=1e-7)
+        ProtocolConfig(pairs_per_bit=100, theta_bit0=0.0, theta_bit1=1e-6)
+
+    @pytest.mark.parametrize("variant", ["identical", None])
+    def test_rejects_variant_that_is_not_a_member(self, variant):
+        with pytest.raises(ValueError, match="variant must be a Variant"):
+            ProtocolConfig(pairs_per_bit=100, variant=variant)
 
     def test_rejects_zero_pairs(self):
         with pytest.raises(ValueError):
@@ -55,6 +74,19 @@ class TestTransmit:
             rates.append(transmit(cfg, bits).error_rate)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         assert rates[-1] == 0.0
+
+    def test_estimate_at_the_midpoint_decodes_to_0(self, monkeypatch):
+        # Symbols whose midpoint rounds nearer p1, so the distance rule alone would say 1.
+        cfg = ProtocolConfig(pairs_per_bit=10, theta_bit0=0.5002685393768099, theta_bit1=0.2118899894991768)
+        p0 = closed_form_probs(cfg.theta_bit0, cfg.variant).p20
+        p1 = closed_form_probs(cfg.theta_bit1, cfg.variant).p20
+        midpoint = 0.5 * (p0 + p1)
+        assert abs(midpoint - p1) < abs(midpoint - p0)
+        estimate = ProbabilityTriple(midpoint, 1.0 / 3.0, 2.0 / 3.0 - midpoint)
+        monkeypatch.setattr(protocol, "monte_carlo_probs", lambda *args: (None, estimate))
+        report = transmit(cfg, [1])
+        assert report.per_bit_estimates == (midpoint,)
+        assert report.decoded_bits == (0,)
 
     def test_rejects_bad_bits(self):
         cfg = ProtocolConfig(pairs_per_bit=10)

@@ -161,6 +161,22 @@ class TestAngleDomain:
             sweep(-1e308, 1e308, 3, Variant.DISTINGUISHABLE)
 
 
+@pytest.mark.parametrize("variant", ["identical", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda variant: closed_form_probs(0.3, variant),
+        lambda variant: first_principles_probs(0.3, variant),
+        lambda variant: monte_carlo_probs(0.3, variant, 10, 1),
+    ],
+    ids=["closed_form", "oracle", "monte_carlo"],
+)
+def test_rejects_variant_that_is_not_a_member(call, variant):
+    # A string or None must not fall through to the identical model.
+    with pytest.raises(ValueError, match="variant must be a Variant"):
+        call(variant)
+
+
 class TestMonteCarlo:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
