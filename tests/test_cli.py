@@ -264,7 +264,7 @@ def test_shared_parser_keeps_no_state_between_commands(capsys):
 
 
 # Beyond |theta| <= 2^20, including angles whose double overflows in the
-# closed forms (~9e307) or in a difference of two angles.
+# closed forms (~9e307), and two opposite ones near the top of the range.
 ANGLE_ERRORS = [
     "probs --theta 1e8 --variant identical",
     "probs --theta 1e308",

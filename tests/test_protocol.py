@@ -21,15 +21,12 @@ class TestConfig:
         assert cfg.theta_bit1 == pytest.approx(np.pi / 4)
 
     def test_rejects_indistinguishable_symbols(self):
-        # pi/2 apart means identical outcome statistics
-        with pytest.raises(ValueError):
-            ProtocolConfig(pairs_per_bit=100, theta_bit0=0.0, theta_bit1=np.pi / 2)
-
-    @pytest.mark.parametrize("variant", Variant)
-    def test_rejects_mirror_symbols(self, variant):
-        # -theta has theta's |2,0> probability, so the decoder cannot tell them apart.
-        with pytest.raises(ValueError, match=r"same \|2,0> probability"):
-            ProtocolConfig(pairs_per_bit=100, theta_bit0=np.pi / 8, theta_bit1=-np.pi / 8, variant=variant)
+        # pi/2 apart, or mirror images: the same |2,0> probability, so the
+        # decoder cannot tell them apart.
+        for variant in Variant:
+            for theta_bit0, theta_bit1 in ((0.0, np.pi / 2), (np.pi / 8, -np.pi / 8)):
+                with pytest.raises(ValueError, match=r"same \|2,0> probability"):
+                    ProtocolConfig(100, theta_bit0, theta_bit1, variant)
 
     def test_rejects_symbols_within_tolerance_near_a_flat_point(self):
         # p20 is flat at theta = 0: 1e-7 moves it ~1.3e-14, 1e-6 ~1.3e-12.
@@ -47,7 +44,7 @@ class TestConfig:
             ProtocolConfig(pairs_per_bit=0)
 
     def test_rejects_angles_beyond_domain(self):
-        # Checked before theta_bit0 - theta_bit1 can overflow to inf.
+        # Opposite angles near the top of the double range: each is checked alone.
         with pytest.raises(ValueError, match="theta must satisfy"):
             ProtocolConfig(pairs_per_bit=1, theta_bit0=1.7e308, theta_bit1=-1.7e308)
 
