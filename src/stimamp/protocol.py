@@ -30,8 +30,8 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pairs_per_bit < 1:
-            raise ValueError("pairs_per_bit must be >= 1")
+        if not isinstance(self.pairs_per_bit, (int, np.integer)) or self.pairs_per_bit < 1:
+            raise ValueError("pairs_per_bit must be an integer >= 1")
         # The decoder tells the symbols apart by their |2,0> probabilities alone.
         p0, p1 = (closed_form_probs(t, self.variant).p20 for t in (self.theta_bit0, self.theta_bit1))
         if abs(p0 - p1) < ATOL_EXACT:

@@ -127,20 +127,20 @@ def monte_carlo_probs(
     Stream discipline: one PCG64 stream from the seed; each candidate shot
     consumes four uniforms in order (input angle, two-photon acceptance,
     branch, outcome), row-major, in fixed-size chunks of one reused
-    buffer; memory does not grow with n.  The input angle is drawn with
-    outcome_table's input weights (1/2 each), the same mixture the oracle
-    averages, and a candidate is kept with probability total_weight/2, which
-    conditions on two-photon events; branch and outcome use inverse-CDF
-    over the fixed orderings with boundary ties resolved to the lower
-    index.  Deterministic for a fixed seed.
+    buffer; memory does not grow with n.  The input angle has outcome_table's
+    weights (1/2 each, the oracle's mixture); a candidate is kept with
+    probability total_weight/2, conditioning on two-photon events; branch and
+    outcome use inverse-CDF over the fixed orderings, ties to the lower index.
+    Outcomes are counted by threshold, exactly since each row's lo <= hi.
+    Deterministic for a fixed seed.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("n must be an integer >= 1")
     rng = np.random.default_rng(seed)
     inputs, total, bw, proj = outcome_table(theta, variant)
     accept = total / 2.0
     p_branch0 = bw[:, 0] / bw.sum(axis=1)
-    lo, hi = np.cumsum(proj, axis=1)[:, :2].T  # outcome thresholds of each row
+    lo, hi = np.cumsum(proj, axis=1)[:, :2].T  # row thresholds; lo <= hi as proj >= 0
     counts = np.zeros(3, dtype=np.int64)
     buf = np.empty((min(_CHUNK_ROWS, int(n / 0.7) + 16), 4))
     remaining = n
@@ -148,12 +148,13 @@ def monte_carlo_probs(
         u = buf[: min(len(buf), int(remaining / 0.7) + 16)]
         rng.random(out=u)
         inp = (u[:, 0] >= inputs[0]).astype(np.intp)
-        kept = np.flatnonzero(u[:, 1] < accept[inp])[:remaining]
-        v = u[kept]
-        inp = inp[kept]
-        row = 2 * inp + (v[:, 2] > p_branch0[inp])
-        outcome = (v[:, 3] > lo[row]).astype(np.intp) + (v[:, 3] > hi[row])
-        counts += np.bincount(outcome, minlength=3)
+        kept = np.flatnonzero(u[:, 1] < accept.take(inp))[:remaining]
+        v = u.take(kept, axis=0)  # u[kept]; take skips fancy indexing's overhead
+        inp = inp.take(kept)
+        row = 2 * inp + (v[:, 2] > p_branch0.take(inp))
+        above_lo = np.count_nonzero(v[:, 3] > lo.take(row))
+        above_hi = np.count_nonzero(v[:, 3] > hi.take(row))
+        counts += (len(kept) - above_lo, above_lo - above_hi, above_hi)
         remaining -= len(kept)
     triple = CountTriple(int(counts[0]), int(counts[1]), int(counts[2]))
     return triple, triple.estimates()

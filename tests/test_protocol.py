@@ -43,6 +43,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProtocolConfig(pairs_per_bit=0)
 
+    @pytest.mark.parametrize("pairs", [2.5, 1e3, np.float64(7.0), "10"])
+    def test_rejects_pairs_that_are_not_an_integer(self, pairs):
+        # Rejected when built, not when transmit reaches the sampler.
+        with pytest.raises(ValueError, match=r"^pairs_per_bit must be an integer >= 1$"):
+            ProtocolConfig(pairs_per_bit=pairs)
+
+    def test_accepts_numpy_integer_pairs(self):
+        bits = [0, 1, 1]
+        report = transmit(ProtocolConfig(pairs_per_bit=np.int64(20), seed=3), bits)
+        assert report == transmit(ProtocolConfig(pairs_per_bit=20, seed=3), bits)
+
     def test_rejects_angles_beyond_domain(self):
         # Opposite angles near the top of the double range: each is checked alone.
         with pytest.raises(ValueError, match="theta must satisfy"):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stimamp import statistics
 from stimamp.amplifier import Variant, branch_weights
@@ -177,10 +179,42 @@ def test_rejects_variant_that_is_not_a_member(call, variant):
         call(variant)
 
 
+def reference_counts(theta, variant, n, seed):
+    """The documented sampling rule, one candidate row at a time."""
+    inputs, total, branch, proj = (a.tolist() for a in outcome_table(theta, variant))
+    rng = np.random.default_rng(seed)
+    counts = [0, 0, 0]
+    while sum(counts) < n:
+        for u_input, u_accept, u_branch, u_outcome in rng.random((16, 4)).tolist():
+            j = int(u_input >= inputs[0])
+            if not u_accept < total[j] / 2:
+                continue
+            row = proj[2 * j + int(u_branch > branch[j][0] / (branch[j][0] + branch[j][1]))]
+            k, cdf = 0, row[0]  # inverse CDF, ties to the lower index
+            while k < 2 and u_outcome > cdf:
+                k += 1
+                cdf += row[k]
+            counts[k] += 1
+            if sum(counts) == n:
+                break
+    return CountTriple(*counts)
+
+
 class TestMonteCarlo:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError):
             monte_carlo_probs(0.0, Variant.DISTINGUISHABLE, 0, 1)
+
+    @pytest.mark.parametrize("n", [2.5, 1e3, np.float64(7.0), "10", None])
+    def test_rejects_n_that_is_not_an_integer(self, n):
+        # A float used to end in a TypeError from slicing inside the kernel.
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1$"):
+            monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, n, 1)
+
+    @pytest.mark.parametrize("n", [np.int64(7), np.uint8(7)])
+    def test_accepts_numpy_and_python_integers(self, n):
+        expected = monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, int(n), 1)[0]
+        assert monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, n, 1)[0] == expected
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_angle(self, theta):
@@ -230,6 +264,26 @@ class TestMonteCarlo:
         expected = [monte_carlo_probs(0.3, variant, n, seed)[0] for n, seed in cases]
         monkeypatch.setattr(statistics, "_CHUNK_ROWS", chunk_rows)
         assert [monte_carlo_probs(0.3, variant, n, seed)[0] for n, seed in cases] == expected
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.floats(-(2.0**20), 2.0**20),
+        st.sampled_from(Variant),
+        st.integers(1, 64),
+        st.integers(1, 3 * 48),
+        st.integers(0, 2**64),
+    )
+    # Projection rows with zero entries, where lo == hi.
+    @example(0.0, Variant.DISTINGUISHABLE, 16, 100, 3)
+    @example(0.0, Variant.IDENTICAL, 16, 100, 3)
+    @example(np.pi / 4, Variant.DISTINGUISHABLE, 16, 100, 3)
+    @example(np.pi / 4, Variant.IDENTICAL, 16, 100, 3)
+    def test_counts_match_a_per_row_reference(self, theta, variant, chunk_rows, n, seed):
+        # Small chunks, so n spans several of them and the last is partial.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statistics, "_CHUNK_ROWS", chunk_rows)
+            counts = monte_carlo_probs(theta, variant, n, seed)[0]
+        assert counts == reference_counts(theta, variant, n, seed)
 
     def test_memory_does_not_grow_with_n(self):
         # An array of all 2e6/0.7 candidates would take 87 MiB.
