@@ -65,10 +65,10 @@ def parse_variant(text: str) -> Variant:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):  # bool is not a float subclass
+        return format(value, ".17g")
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".17g")
     if value is None:
         return ""
     return str(value)
@@ -87,7 +87,7 @@ def render(doc: dict, fmt: str, out) -> None:
         if columns is None:
             columns = list(row)
             out.write(",".join(columns) + "\n")
-        out.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+        out.write(",".join([_fmt(row[c]) for c in columns]) + "\n")
 
 
 def emit(args, rows, summary: dict | None = None) -> int:

@@ -32,6 +32,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if not isinstance(self.pairs_per_bit, (int, np.integer)) or self.pairs_per_bit < 1:
             raise ValueError("pairs_per_bit must be an integer >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         # The decoder tells the symbols apart by their |2,0> probabilities alone.
         p0, p1 = (closed_form_probs(t, self.variant).p20 for t in (self.theta_bit0, self.theta_bit1))
         if abs(p0 - p1) < ATOL_EXACT:
@@ -60,11 +62,12 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
     decoder thresholds the estimated |2,0> probability at the midpoint of
     the two symbols' closed-form values, ties decoding to 0.
     """
-    bits = tuple(int(b) for b in bits)
+    bits = tuple(bits)
     if not bits:
         raise ValueError("bit list is empty")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
+    if not all(isinstance(b, (int, np.integer)) and b in (0, 1) for b in bits):
+        raise ValueError("bits must be the integers 0 or 1")
+    bits = tuple(int(b) for b in bits)
     p0 = closed_form_probs(config.theta_bit0, config.variant).p20
     p1 = closed_form_probs(config.theta_bit1, config.variant).p20
     midpoint = 0.5 * (p0 + p1)

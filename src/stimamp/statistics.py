@@ -10,6 +10,7 @@ seeded Monte Carlo.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,8 @@ def differential_sigma_20(theta: float) -> float:
 
     Units of lambda^2 dOmega, averaged over the orthogonal-pair mixture.
     """
-    return 0.5 * (1.0 + np.cos(2.0 * theta) ** 2)
+    _check_angle(theta)
+    return 0.5 * (1.0 + math.cos(2.0 * theta) ** 2)
 
 
 def _check_angle(theta: float) -> None:
@@ -73,8 +75,9 @@ def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     if not isinstance(variant, Variant):
         raise ValueError(f"variant must be a Variant, got {variant!r}")
     _check_angle(theta)
-    c2 = np.cos(2.0 * theta) ** 2
-    s2 = np.sin(2.0 * theta) ** 2
+    # math on Python floats gives numpy's scalar doubles; ** 2 is C pow, and x*x can differ.
+    c2 = math.cos(2.0 * theta) ** 2
+    s2 = math.sin(2.0 * theta) ** 2
     if variant is Variant.DISTINGUISHABLE:
         return ProbabilityTriple((1.0 + c2) / 3.0, 1.0 / 3.0, s2 / 3.0)
     return ProbabilityTriple(2.0 * c2 / 3.0, 1.0 / 3.0, 2.0 * s2 / 3.0)

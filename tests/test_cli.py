@@ -232,6 +232,24 @@ class TestSchema:
             jsonschema.validate(run_json(*args), schema)
 
 
+@pytest.mark.parametrize(
+    "value,cell",
+    [
+        (True, "true"),
+        (False, "false"),
+        (None, ""),
+        (3, "3"),
+        (np.int64(3), "3"),
+        (0.1, "0.10000000000000001"),
+        (np.float64(0.1), "0.10000000000000001"),
+        ("identical", "identical"),
+    ],
+)
+def test_csv_cell_format(value, cell):
+    # _fmt tests float before bool: a bool is an int, never a float.
+    assert cli._fmt(value) == cell
+
+
 def test_main_callable_in_process(capsys):
     assert main(["probs", "--theta", "0", "--format", "csv"]) == 0
     out = capsys.readouterr().out
@@ -282,6 +300,12 @@ NEGATIVE_SPEEDS = [
     "causality --u=-1e-300 --beta 0.5",
 ]
 
+# Rejected by ProtocolConfig, with a message that names the seed.
+NEGATIVE_SEEDS = [
+    "protocol --bits 01 --pairs-per-bit 10 --seed -1",
+    "protocol --bits 01 --seed=-1",
+]
+
 USAGE_ERRORS = [
     "mc --theta nan -n 10",
     "mc --theta inf -n 10",
@@ -304,7 +328,6 @@ USAGE_ERRORS = [
     "causality-scan --u 2 -L inf",
     "causality-scan --u 2 -L=-inf",
     "mc --theta 0 -n 10 --seed -1",
-    "protocol --bits 01 --pairs-per-bit 10 --seed -1",
     "sweep --steps 1",
     "mc --theta 0 -n 0",
     "protocol --bits 012",
@@ -314,6 +337,7 @@ USAGE_ERRORS = [
     "causality --u 2 --beta 0.5 -L 1e308 --ell 1e308",  # loop coordinates overflow
     *ANGLE_ERRORS,
     *NEGATIVE_SPEEDS,
+    *NEGATIVE_SEEDS,
 ]
 
 
@@ -377,6 +401,12 @@ def test_scan_prints_the_recorded_thresholds_at_every_length(L, capsys):
 def test_negative_speed_reaches_the_speed_check(command, capsys):
     assert main(shlex.split(command)) == 2
     assert capsys.readouterr().err == "error: u must be positive and finite\n"
+
+
+@pytest.mark.parametrize("command", NEGATIVE_SEEDS)
+def test_negative_seed_names_the_seed(command, capsys):
+    assert main(shlex.split(command)) == 2
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0\n"
 
 
 def test_loop_overflow_names_u(capsys):

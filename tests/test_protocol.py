@@ -54,6 +54,12 @@ class TestConfig:
         report = transmit(ProtocolConfig(pairs_per_bit=np.int64(20), seed=3), bits)
         assert report == transmit(ProtocolConfig(pairs_per_bit=20, seed=3), bits)
 
+    @pytest.mark.parametrize("seed", [2.5, -1, np.float64(3.0), "3", None])
+    def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
+        # Rejected when built, not by SeedSequence at the first bit.
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0$"):
+            ProtocolConfig(pairs_per_bit=10, seed=seed)
+
     def test_rejects_angles_beyond_domain(self):
         # Opposite angles near the top of the double range: each is checked alone.
         with pytest.raises(ValueError, match="theta must satisfy"):
@@ -102,6 +108,18 @@ class TestTransmit:
             transmit(cfg, [])
         with pytest.raises(ValueError):
             transmit(cfg, [0, 2])
+
+    @pytest.mark.parametrize("bit", [0.5, 1.7, "1", np.float64(1.0), None])
+    def test_rejects_bits_that_are_not_the_integers_0_or_1(self, bit):
+        # int() used to truncate: [0.5, 1.7] was sent as (0, 1).
+        with pytest.raises(ValueError, match=r"^bits must be the integers 0 or 1$"):
+            transmit(ProtocolConfig(pairs_per_bit=10), [0, bit])
+
+    def test_accepts_numpy_integer_bits(self):
+        cfg = ProtocolConfig(pairs_per_bit=20, seed=4)
+        report = transmit(cfg, [np.int64(1), np.uint8(0), np.int32(1)])
+        assert report == transmit(cfg, [1, 0, 1])
+        assert all(type(b) is int for b in report.sent_bits)
 
     def test_seed_determinism(self):
         cfg = ProtocolConfig(pairs_per_bit=50, seed=9)

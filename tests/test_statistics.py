@@ -133,6 +133,43 @@ def test_differential_consistency():
         assert p20 == pytest.approx(differential_sigma_20(theta) / 1.5, abs=1e-12)
 
 
+def numpy_scalar_closed_forms(theta, variant):
+    """The closed forms as numpy scalars compute them: the reference for math's doubles."""
+    c2 = np.cos(2.0 * theta) ** 2
+    s2 = np.sin(2.0 * theta) ** 2
+    if variant is Variant.DISTINGUISHABLE:
+        triple = ((1.0 + c2) / 3.0, 1.0 / 3.0, s2 / 3.0)
+    else:
+        triple = (2.0 * c2 / 3.0, 1.0 / 3.0, 2.0 * s2 / 3.0)
+    return triple, 0.5 * (1.0 + c2)
+
+
+# cos^2 2theta by pow and by c*c differ in the last bit here, and so does the identical p20.
+POW_NOT_PRODUCT = 0.006702587926433824
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(
+    theta=st.floats(-(2.0**20), 2.0**20, allow_nan=False),
+    variant=st.sampled_from(list(Variant)),
+)
+@example(theta=POW_NOT_PRODUCT, variant=Variant.IDENTICAL)
+@example(theta=2.0**20, variant=Variant.DISTINGUISHABLE)
+@example(theta=-(2.0**20), variant=Variant.IDENTICAL)
+def test_closed_forms_match_numpy_scalars_bit_for_bit(theta, variant):
+    # The CLI prints 17 digits, so the doubles, not a tolerance, must agree.
+    triple, sigma = numpy_scalar_closed_forms(theta, variant)
+    got = closed_form_probs(theta, variant)
+    assert [float.hex(p) for p in (got.p20, got.p11, got.p02)] == [float.hex(float(p)) for p in triple]
+    assert float.hex(differential_sigma_20(theta)) == float.hex(float(sigma))
+
+
+def test_squares_are_pow_not_a_product():
+    c = np.cos(2.0 * POW_NOT_PRODUCT)
+    assert 2.0 * (c * c) / 3.0 != 2.0 * c**2 / 3.0
+    assert closed_form_probs(POW_NOT_PRODUCT, Variant.IDENTICAL).p20.hex() == "0x1.5545a1c806a6dp-1"
+
+
 ANGLE_LIMIT = 2.0**20
 BEYOND_LIMIT = np.nextafter(ANGLE_LIMIT, np.inf)
 
@@ -142,6 +179,7 @@ class TestAngleDomain:
 
     CALLS = {
         "closed_form": lambda theta: closed_form_probs(theta, Variant.IDENTICAL),
+        "sigma20": differential_sigma_20,
         "oracle": lambda theta: first_principles_probs(theta, Variant.IDENTICAL),
         "monte_carlo": lambda theta: monte_carlo_probs(theta, Variant.IDENTICAL, 10, 1),
     }
@@ -152,6 +190,12 @@ class TestAngleDomain:
         self.CALLS[call](sign * ANGLE_LIMIT)
         with pytest.raises(ValueError, match=r"theta must satisfy .* got -?1048576\.0000000002"):
             self.CALLS[call](sign * BEYOND_LIMIT)
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf, 2.0**20 + 1])
+    def test_sigma20_rejects_what_closed_form_rejects(self, theta):
+        # Unchecked, NaN gave NaN, 1e300 a number, and math.cos(inf) a bare "math domain error".
+        with pytest.raises(ValueError, match="theta must satisfy"):
+            differential_sigma_20(theta)
 
     def test_message_names_numpy_angle_as_plain_float(self):
         with pytest.raises(ValueError, match=r"got 1e\+308$"):
