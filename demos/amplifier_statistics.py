@@ -9,13 +9,8 @@ matrix does not -- that dependence is the whole story.
 
 import numpy as np
 
-from stimamp import (
-    Variant,
-    closed_form_probs,
-    differential_sigma_20,
-    first_principles_probs,
-    monte_carlo_probs,
-)
+from stimamp.amplifier import Variant
+from stimamp.statistics import closed_form_probs, differential_sigma_20, first_principles_probs, monte_carlo_probs
 
 angles = {"0": 0.0, "pi/8": np.pi / 8, "pi/4": np.pi / 4, "3pi/8": 3 * np.pi / 8}
 

@@ -8,7 +8,7 @@ was sent.
 
 import numpy as np
 
-from stimamp import LoopConfig, run_loop, violation_threshold
+from stimamp.kinematics import LoopConfig, run_loop, violation_threshold
 
 print("Round trip with u=2, L=1, ell=0:")
 for beta in (0.0, 0.5, 0.8, 0.9, 0.99):

@@ -8,7 +8,8 @@ exactly the model's departure from density-matrix linearity.
 
 import numpy as np
 
-from stimamp import ProtocolConfig, Variant, linearity_gap, reduced_density, transmit
+from stimamp.amplifier import Variant
+from stimamp.protocol import ProtocolConfig, linearity_gap, reduced_density, transmit
 
 bits = [0, 1, 1, 0, 1, 0, 0, 1]
 cfg = ProtocolConfig(pairs_per_bit=10**4, seed=0)

@@ -75,9 +75,8 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
     estimates = []
     for i, bit in enumerate(bits):
         theta = config.theta_bit1 if bit else config.theta_bit0
-        # Deterministic per-bit substream; bits may be simulated in parallel.
-        seed = np.random.SeedSequence((config.seed, i))
-        _, est = monte_carlo_probs(theta, config.variant, config.pairs_per_bit, seed)
+        # Deterministic per-bit substream, keyed (seed, i); bits may be simulated in parallel.
+        _, est = monte_carlo_probs(theta, config.variant, config.pairs_per_bit, (config.seed, i))
         estimates.append(est.p20)
         if est.p20 == midpoint:
             decoded.append(0)

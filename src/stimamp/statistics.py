@@ -127,7 +127,8 @@ def monte_carlo_probs(
 ) -> tuple[CountTriple, ProbabilityTriple]:
     """Sample n i.i.d. two-photon outcomes of the orthogonal-pair mixture.
 
-    Stream discipline: one PCG64 stream from the seed; each candidate shot
+    Stream discipline: one PCG64 stream, default_rng(seed), from a seed that
+    is an integer >= 0 or a non-empty tuple of them; each candidate shot
     consumes four uniforms in order (input angle, two-photon acceptance,
     branch, outcome), row-major, in fixed-size chunks of one reused
     buffer; memory does not grow with n.  The input angle has outcome_table's
@@ -139,6 +140,9 @@ def monte_carlo_probs(
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be an integer >= 1")
+    key = seed if isinstance(seed, tuple) and seed else (seed,)
+    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in key):
+        raise ValueError("seed must be an integer >= 0")
     rng = np.random.default_rng(seed)
     inputs, total, bw, proj = outcome_table(theta, variant)
     accept = total / 2.0
@@ -170,12 +174,12 @@ def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
     (theta, ProbabilityTriple, sigma20) rows, endpoints inclusive, ordered
     by theta, each computed as it is read.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    if not isinstance(steps, (int, np.integer)) or steps < 2:
+        raise ValueError("steps must be an integer >= 2")
     if not theta_min < theta_max:
         raise ValueError("theta_min must be < theta_max")
-    for theta in (theta_min, theta_max):  # bounded ends keep the grid finite
-        _check_angle(theta)
+    for theta in (theta_min, theta_max):  # bounded ends keep the grid finite; checks the variant too
+        closed_form_probs(theta, variant)
     # np.linspace's values, one at a time: i * step + theta_min, or
     # i / div * delta + theta_min where step underflows to 0, then theta_max.
     delta, div = theta_max - theta_min, steps - 1

@@ -300,10 +300,12 @@ NEGATIVE_SPEEDS = [
     "causality --u=-1e-300 --beta 0.5",
 ]
 
-# Rejected by ProtocolConfig, with a message that names the seed.
+# Rejected by ProtocolConfig or monte_carlo_probs, with a message that names the seed.
 NEGATIVE_SEEDS = [
     "protocol --bits 01 --pairs-per-bit 10 --seed -1",
     "protocol --bits 01 --seed=-1",
+    "mc --theta 0 -n 10 --seed -1",
+    "mc --theta 0 -n 10 --seed=-1",
 ]
 
 USAGE_ERRORS = [
@@ -327,7 +329,6 @@ USAGE_ERRORS = [
     "causality-scan --u 2 -L=-1",
     "causality-scan --u 2 -L inf",
     "causality-scan --u 2 -L=-inf",
-    "mc --theta 0 -n 10 --seed -1",
     "sweep --steps 1",
     "mc --theta 0 -n 0",
     "protocol --bits 012",

@@ -56,7 +56,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("seed", [2.5, -1, np.float64(3.0), "3", None])
     def test_rejects_seed_that_is_not_a_non_negative_integer(self, seed):
-        # Rejected when built, not by SeedSequence at the first bit.
+        # Rejected when built, not by the sampler at the first bit.
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0$"):
             ProtocolConfig(pairs_per_bit=10, seed=seed)
 

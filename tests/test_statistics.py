@@ -329,6 +329,29 @@ class TestMonteCarlo:
             counts = monte_carlo_probs(theta, variant, n, seed)[0]
         assert counts == reference_counts(theta, variant, n, seed)
 
+    @pytest.mark.parametrize(
+        "seed",
+        [None, -1, 2.5, np.random.default_rng(1), (), (1, -1)],
+        ids=["None", "-1", "2.5", "Generator", "()", "(1, -1)"],
+    )
+    def test_rejects_seed_that_is_not_a_non_negative_integer_key(self, seed):
+        # None drew OS entropy, a Generator advanced the caller's, () gave seed 0's stream,
+        # and -1 and 2.5 ended in numpy's own errors, which do not name the seed.
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0$"):
+            monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, 10, seed)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(st.integers(0, 2**200), st.integers(0, 10**6), st.sampled_from(Variant), st.integers(1, 200))
+    def test_tuple_key_is_the_seed_sequence_of_that_key(self, s, i, variant, n):
+        # transmit keys bit i by (seed, i), the stream of SeedSequence((seed, i)).
+        expected = reference_counts(0.7, variant, n, np.random.SeedSequence((s, i)))
+        assert monte_carlo_probs(0.7, variant, n, (s, i))[0] == expected
+
+    def test_accepts_numpy_integer_seeds(self):
+        for seed, same in [(np.int64(3), 3), ((np.uint64(3), np.int32(4)), (3, 4))]:
+            counts = monte_carlo_probs(0.7, Variant.IDENTICAL, 50, seed)[0]
+            assert counts == monte_carlo_probs(0.7, Variant.IDENTICAL, 50, same)[0]
+
     def test_memory_does_not_grow_with_n(self):
         # An array of all 2e6/0.7 candidates would take 87 MiB.
         tracemalloc.start()
@@ -372,3 +395,20 @@ class TestSweep:
             sweep(0.0, 1.0, 1, Variant.DISTINGUISHABLE)
         with pytest.raises(ValueError):
             sweep(1.0, 0.0, 5, Variant.DISTINGUISHABLE)
+
+    @pytest.mark.parametrize(
+        "steps", [2.5, 5.0, np.float64(5.0), "5", None], ids=["2.5", "5.0", "float64", "str", "None"]
+    )
+    def test_rejects_steps_that_are_not_an_integer_at_the_call(self, steps):
+        # 2.5 used to end in a TypeError from range.
+        with pytest.raises(ValueError, match=r"^steps must be an integer >= 2$"):
+            sweep(0.0, 1.0, steps, Variant.DISTINGUISHABLE)
+
+    def test_accepts_numpy_integer_steps(self):
+        assert list(sweep(0.0, 1.0, np.int64(5), Variant.IDENTICAL)) == list(sweep(0.0, 1.0, 5, Variant.IDENTICAL))
+
+    @pytest.mark.parametrize("variant", ["identical", None])
+    def test_rejects_variant_that_is_not_a_member_at_the_call(self, variant):
+        # Not at the first row, when the iterator is read.
+        with pytest.raises(ValueError, match="variant must be a Variant"):
+            sweep(0.0, 1.0, 5, variant)
