@@ -35,7 +35,7 @@ _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGN
 
 
 def parse_angle(text: str) -> float:
-    """Finite angle literal: decimal radians or a pi fraction like 'pi/8', '3pi/4'."""
+    """Angle literal: radians or a pi fraction like 'pi/8', '3pi/4'. The library checks its domain."""
     text = text.strip()
     m = _ANGLE_RE.match(text)
     try:
@@ -52,8 +52,6 @@ def parse_angle(text: str) -> float:
             value = float(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid angle literal: {text!r}")
-    if not np.isfinite(value):
-        raise argparse.ArgumentTypeError(f"angle must be finite: {text!r}")
     return float(value)
 
 
@@ -259,24 +257,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("protocol", help="simulate the EPR signaling scheme on a bit string")
     p.add_argument("--bits", required=True)
     p.add_argument("--pairs-per-bit", type=int, default=10**4)
-    p.add_argument("--theta-bit0", type=parse_angle, default=0.0)
-    p.add_argument("--theta-bit1", type=parse_angle, default=np.pi / 4.0)
-    p.add_argument("--variant", type=parse_variant, default=Variant.DISTINGUISHABLE)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--theta-bit0", type=parse_angle, default=ProtocolConfig.theta_bit0)
+    p.add_argument("--theta-bit1", type=parse_angle, default=ProtocolConfig.theta_bit1)
+    p.add_argument("--variant", type=parse_variant, default=ProtocolConfig.variant)
+    p.add_argument("--seed", type=int, default=ProtocolConfig.seed)
     common(p)
     p.set_defaults(func=cmd_protocol)
 
     p = sub.add_parser("causality", help="trace the four-channel causal loop")
     p.add_argument("--u", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("-L", type=float, default=1.0)
-    p.add_argument("--ell", type=float, default=0.0)
+    p.add_argument("-L", type=float, default=LoopConfig.L)
+    p.add_argument("--ell", type=float, default=LoopConfig.ell)
     common(p)
     p.set_defaults(func=cmd_causality)
 
     p = sub.add_parser("causality-scan", help="violation threshold beta for each channel speed u")
     p.add_argument("--u", type=float, nargs="+", required=True)
-    p.add_argument("-L", type=float, default=1.0)
+    p.add_argument("-L", type=float, default=LoopConfig.L)
     common(p)
     p.set_defaults(func=cmd_causality_scan)
 

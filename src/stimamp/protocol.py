@@ -18,7 +18,7 @@ import numpy as np
 
 from .amplifier import Variant
 from .fock import ATOL_EXACT, single_photon_state
-from .statistics import closed_form_probs, monte_carlo_probs
+from .statistics import _check_angle, _check_int, closed_form_probs, monte_carlo_probs
 
 
 @dataclass(frozen=True)
@@ -30,10 +30,8 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.pairs_per_bit, (int, np.integer)) or self.pairs_per_bit < 1:
-            raise ValueError("pairs_per_bit must be an integer >= 1")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError("seed must be an integer >= 0")
+        _check_int("pairs_per_bit", self.pairs_per_bit, 1)
+        _check_int("seed", self.seed, 0)
         # The decoder tells the symbols apart by their |2,0> probabilities alone.
         p0, p1 = (closed_form_probs(t, self.variant).p20 for t in (self.theta_bit0, self.theta_bit1))
         if abs(p0 - p1) < ATOL_EXACT:
@@ -92,6 +90,7 @@ def reduced_density(theta: float) -> np.ndarray:
     Computed, not hard-coded: I/2 for every theta, which is why any theta,
     here 0, gives linearity_gap its linear prediction.
     """
+    _check_angle(theta)
     rho = np.zeros((2, 2), dtype=complex)
     for angle in (theta, theta + np.pi / 2.0):
         psi = single_photon_state(angle)

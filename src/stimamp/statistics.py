@@ -70,6 +70,12 @@ def _check_angle(theta: float) -> None:
         raise ValueError(f"theta must satisfy |theta| <= 2**20 (period pi), got {float(theta)}")
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Reject anything but a Python or numpy integer >= minimum."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+
+
 def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     """Closed-form outcome triple for the orthogonal-pair mixture."""
     if not isinstance(variant, Variant):
@@ -138,11 +144,9 @@ def monte_carlo_probs(
     Outcomes are counted by threshold, exactly since each row's lo <= hi.
     Deterministic for a fixed seed.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be an integer >= 1")
-    key = seed if isinstance(seed, tuple) and seed else (seed,)
-    if not all(isinstance(s, (int, np.integer)) and s >= 0 for s in key):
-        raise ValueError("seed must be an integer >= 0")
+    _check_int("n", n, 1)
+    for entry in seed if isinstance(seed, tuple) and seed else (seed,):
+        _check_int("seed", entry, 0)
     rng = np.random.default_rng(seed)
     inputs, total, bw, proj = outcome_table(theta, variant)
     accept = total / 2.0
@@ -174,12 +178,11 @@ def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
     (theta, ProbabilityTriple, sigma20) rows, endpoints inclusive, ordered
     by theta, each computed as it is read.
     """
-    if not isinstance(steps, (int, np.integer)) or steps < 2:
-        raise ValueError("steps must be an integer >= 2")
-    if not theta_min < theta_max:
-        raise ValueError("theta_min must be < theta_max")
+    _check_int("steps", steps, 2)
     for theta in (theta_min, theta_max):  # bounded ends keep the grid finite; checks the variant too
         closed_form_probs(theta, variant)
+    if not theta_min < theta_max:
+        raise ValueError("theta_min must be < theta_max")
     # np.linspace's values, one at a time: i * step + theta_min, or
     # i / div * delta + theta_min where step underflows to 0, then theta_max.
     delta, div = theta_max - theta_min, steps - 1

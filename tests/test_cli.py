@@ -282,7 +282,8 @@ def test_shared_parser_keeps_no_state_between_commands(capsys):
 
 
 # Beyond |theta| <= 2^20, including angles whose double overflows in the
-# closed forms (~9e307), and two opposite ones near the top of the range.
+# closed forms (~9e307), two opposite ones near the top of the range, and
+# every angle flag at a non-finite value.
 ANGLE_ERRORS = [
     "probs --theta 1e8 --variant identical",
     "probs --theta 1e308",
@@ -291,6 +292,18 @@ ANGLE_ERRORS = [
     "sweep --theta-min=-1e308 --theta-max 1e308",
     "protocol --bits 01 --pairs-per-bit 10 --theta-bit1 1e9",
     "protocol --bits 01 --theta-bit0 1.7e308 --theta-bit1=-1.7e308",
+    # Non-finite angles reach the same check: the parser only reads the literal.
+    "mc --theta nan -n 10",
+    "mc --theta inf -n 10",
+    "probs --theta inf",
+    "probs --theta nan",
+    "probs --theta=-inf",
+    "probs --theta 1e999",
+    "sweep --theta-max inf",
+    "sweep --theta-min=-inf",
+    "sweep --theta-min nan",  # an angle error, not theta_min must be < theta_max
+    "protocol --bits 01 --theta-bit0 nan",
+    "protocol --bits 01 --pairs-per-bit 10 --theta-bit1 inf",
 ]
 
 # A value that starts with "-" and is not a plain decimal needs the "=" form,
@@ -309,15 +322,7 @@ NEGATIVE_SEEDS = [
 ]
 
 USAGE_ERRORS = [
-    "mc --theta nan -n 10",
-    "mc --theta inf -n 10",
-    "probs --theta inf",
-    "probs --theta nan",
-    "probs --theta=-inf",
     "probs --theta pi/0",
-    "sweep --theta-max inf",
-    "sweep --theta-min nan",
-    "protocol --bits 01 --theta-bit0 nan",
     "causality --u nan --beta 0.5",
     "causality --u inf --beta 0.5",
     "causality --u 2 --beta nan",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stimamp import statistics
 from stimamp.amplifier import Variant, branch_weights
+from stimamp.protocol import ProtocolConfig, transmit
 from stimamp.statistics import (
     CountTriple,
     ProbabilityTriple,
@@ -203,8 +204,10 @@ class TestAngleDomain:
 
     def test_sweep_bounds_its_ends(self):
         list(sweep(-ANGLE_LIMIT, ANGLE_LIMIT, 2, Variant.DISTINGUISHABLE))
-        with pytest.raises(ValueError, match="theta must satisfy"):
-            sweep(-1e308, 1e308, 3, Variant.DISTINGUISHABLE)
+        # The ends are checked before their order, so a NaN end is an angle error.
+        for ends in ((-1e308, 1e308), (float("nan"), 1.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="theta must satisfy"):
+                sweep(*ends, 3, Variant.DISTINGUISHABLE)
 
 
 @pytest.mark.parametrize("variant", ["identical", None])
@@ -245,21 +248,6 @@ def reference_counts(theta, variant, n, seed):
 
 
 class TestMonteCarlo:
-    def test_rejects_zero_draws(self):
-        with pytest.raises(ValueError):
-            monte_carlo_probs(0.0, Variant.DISTINGUISHABLE, 0, 1)
-
-    @pytest.mark.parametrize("n", [2.5, 1e3, np.float64(7.0), "10", None])
-    def test_rejects_n_that_is_not_an_integer(self, n):
-        # A float used to end in a TypeError from slicing inside the kernel.
-        with pytest.raises(ValueError, match=r"^n must be an integer >= 1$"):
-            monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, n, 1)
-
-    @pytest.mark.parametrize("n", [np.int64(7), np.uint8(7)])
-    def test_accepts_numpy_and_python_integers(self, n):
-        expected = monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, int(n), 1)[0]
-        assert monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, n, 1)[0] == expected
-
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_angle(self, theta):
         # A NaN acceptance probability would keep no candidate and never stop.
@@ -329,28 +317,12 @@ class TestMonteCarlo:
             counts = monte_carlo_probs(theta, variant, n, seed)[0]
         assert counts == reference_counts(theta, variant, n, seed)
 
-    @pytest.mark.parametrize(
-        "seed",
-        [None, -1, 2.5, np.random.default_rng(1), (), (1, -1)],
-        ids=["None", "-1", "2.5", "Generator", "()", "(1, -1)"],
-    )
-    def test_rejects_seed_that_is_not_a_non_negative_integer_key(self, seed):
-        # None drew OS entropy, a Generator advanced the caller's, () gave seed 0's stream,
-        # and -1 and 2.5 ended in numpy's own errors, which do not name the seed.
-        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0$"):
-            monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, 10, seed)
-
     @settings(derandomize=True, database=None, deadline=None, max_examples=50)
     @given(st.integers(0, 2**200), st.integers(0, 10**6), st.sampled_from(Variant), st.integers(1, 200))
     def test_tuple_key_is_the_seed_sequence_of_that_key(self, s, i, variant, n):
         # transmit keys bit i by (seed, i), the stream of SeedSequence((seed, i)).
         expected = reference_counts(0.7, variant, n, np.random.SeedSequence((s, i)))
         assert monte_carlo_probs(0.7, variant, n, (s, i))[0] == expected
-
-    def test_accepts_numpy_integer_seeds(self):
-        for seed, same in [(np.int64(3), 3), ((np.uint64(3), np.int32(4)), (3, 4))]:
-            counts = monte_carlo_probs(0.7, Variant.IDENTICAL, 50, seed)[0]
-            assert counts == monte_carlo_probs(0.7, Variant.IDENTICAL, 50, same)[0]
 
     def test_memory_does_not_grow_with_n(self):
         # An array of all 2e6/0.7 candidates would take 87 MiB.
@@ -396,19 +368,69 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(1.0, 0.0, 5, Variant.DISTINGUISHABLE)
 
-    @pytest.mark.parametrize(
-        "steps", [2.5, 5.0, np.float64(5.0), "5", None], ids=["2.5", "5.0", "float64", "str", "None"]
-    )
-    def test_rejects_steps_that_are_not_an_integer_at_the_call(self, steps):
-        # 2.5 used to end in a TypeError from range.
-        with pytest.raises(ValueError, match=r"^steps must be an integer >= 2$"):
-            sweep(0.0, 1.0, steps, Variant.DISTINGUISHABLE)
-
-    def test_accepts_numpy_integer_steps(self):
-        assert list(sweep(0.0, 1.0, np.int64(5), Variant.IDENTICAL)) == list(sweep(0.0, 1.0, 5, Variant.IDENTICAL))
-
     @pytest.mark.parametrize("variant", ["identical", None])
     def test_rejects_variant_that_is_not_a_member_at_the_call(self, variant):
         # Not at the first row, when the iterator is read.
         with pytest.raises(ValueError, match="variant must be a Variant"):
             sweep(0.0, 1.0, 5, variant)
+
+
+# The integer rule at each call site: (argument name, minimum, call).  A call
+# reads no sweep row and builds a ProtocolConfig without transmitting, so a
+# rejection must come at the call.  Unchecked, a float would reach range or
+# the MC kernel's slicing, a None seed would draw OS entropy, a Generator would
+# advance the caller's, and () would give seed 0's stream.
+INTEGER_SITES = {
+    "mc_n": ("n", 1, lambda v: monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, v, 1)[0]),
+    "mc_seed": ("seed", 0, lambda v: monte_carlo_probs(0.7, Variant.IDENTICAL, 50, v)[0]),
+    "sweep_steps": ("steps", 2, lambda v: sweep(0.0, 1.0, v, Variant.IDENTICAL)),
+    "pairs_per_bit": ("pairs_per_bit", 1, lambda v: ProtocolConfig(pairs_per_bit=v, seed=3)),
+    "config_seed": ("seed", 0, lambda v: ProtocolConfig(pairs_per_bit=20, seed=v)),
+}
+NOT_INTEGERS = [2.5, 1e3, np.float64(7.0), "10", None]
+SITE_NOT_INTEGERS = {
+    "mc_seed": [np.random.default_rng(1), (), (1, -1)],
+    "sweep_steps": [5.0, np.float64(5.0), "5"],
+    "config_seed": [np.float64(3.0), "3"],
+}
+NUMPY_INTEGERS = {
+    "mc_n": [np.int64(7), np.uint8(7)],
+    "mc_seed": [np.int64(3), (np.uint64(3), np.int32(4))],
+    "sweep_steps": [np.int64(5)],
+    "pairs_per_bit": [np.int64(20)],
+    "config_seed": [np.int64(3)],
+}
+
+
+def site_param(site, value):
+    # A Generator's repr holds its address: name it by its type, so the test id is stable.
+    label = type(value).__name__ if isinstance(value, np.random.Generator) else repr(value)
+    return pytest.param(site, value, id=f"{site}-{label}")
+
+
+@pytest.mark.parametrize(
+    "site,value",
+    [
+        site_param(site, value)
+        for site, (_, minimum, _) in INTEGER_SITES.items()
+        for value in [*NOT_INTEGERS, minimum - 1, *SITE_NOT_INTEGERS.get(site, [])]
+    ],
+)
+def test_integer_rule_rejects(site, value):
+    name, minimum, call = INTEGER_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {minimum}$"):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "site,value",
+    [site_param(site, value) for site, values in NUMPY_INTEGERS.items() for value in values],
+)
+def test_integer_rule_accepts_numpy_integers(site, value):
+    call = INTEGER_SITES[site][2]
+    got, expected = call(value), call(tuple(map(int, value)) if isinstance(value, tuple) else int(value))
+    if isinstance(got, ProtocolConfig):
+        got, expected = transmit(got, [0, 1, 1]), transmit(expected, [0, 1, 1])
+    elif site == "sweep_steps":  # iterators of rows
+        got, expected = list(got), list(expected)
+    assert got == expected
