@@ -24,6 +24,12 @@ class Variant(enum.Enum):
     IDENTICAL = "identical"
 
 
+def _check_variant(variant) -> None:
+    """Reject anything but a Variant member, a string such as "identical" included."""
+    if not isinstance(variant, Variant):
+        raise ValueError(f"variant must be a Variant, got {variant!r}")
+
+
 @dataclass(frozen=True)
 class EmissionConstants:
     """Physical constants for the emission rate; defaults are natural units."""
@@ -68,8 +74,7 @@ def scatter(theta: float, variant: Variant) -> tuple[float, np.ndarray, np.ndarr
     for the both-parallel branch and sin(theta) for the mixed branch; this
     is the unique real choice reproducing the coherent-variant statistics.
     """
-    if not isinstance(variant, Variant):
-        raise ValueError(f"variant must be a Variant, got {variant!r}")
+    _check_variant(variant)
     c, s = np.cos(theta), np.sin(theta)
     u = two_photon_rotation(theta)
     state20 = apply_rotation(u, E20)

@@ -11,12 +11,11 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import re
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from .amplifier import Variant
 from .kinematics import LoopConfig, run_loop, violation_threshold
@@ -41,7 +40,7 @@ def parse_angle(text: str) -> float:
     try:
         if m:
             mult, div = m.group(1), m.group(2)
-            value = np.pi
+            value = math.pi
             if mult not in ("", "+", "-"):
                 value *= float(mult)
             elif mult == "-":
@@ -118,7 +117,7 @@ def emit(args, rows, summary: dict | None = None) -> int:
 def cmd_probs(args) -> int:
     closed = closed_form_probs(args.theta, args.variant)
     fp = first_principles_probs(args.theta, args.variant)
-    discrepancy = float(np.max(np.abs(closed.as_array() - fp.as_array())))
+    discrepancy = max(abs(closed.p20 - fp.p20), abs(closed.p11 - fp.p11), abs(closed.p02 - fp.p02))
     row = {
         "theta_rad": args.theta,
         "variant": args.variant.value,
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="probability table over an angle grid")
     p.add_argument("--theta-min", type=parse_angle, default=0.0)
-    p.add_argument("--theta-max", type=parse_angle, default=np.pi / 2.0)
+    p.add_argument("--theta-max", type=parse_angle, default=math.pi / 2.0)
     p.add_argument("--steps", type=int, default=9)
     p.add_argument("--variant", type=parse_variant, default=Variant.DISTINGUISHABLE)
     common(p)

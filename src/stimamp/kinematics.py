@@ -61,21 +61,6 @@ def boost(e: Event, beta: float) -> Event:
     return Event(g * (e.t - beta * e.x), g * (e.x - beta * e.t))
 
 
-def compose_velocity(v: float, beta: float) -> float:
-    """Relativistic velocity addition (v + beta)/(1 + v beta).
-
-    Superluminal v is allowed; the mapping is singular where 1 + v*beta
-    vanishes (infinite coordinate velocity).  run_loop sidesteps the
-    singularity by propagating in the moving frame's parametrization.
-    """
-    if abs(beta) >= 1.0:
-        raise ValueError("|beta| must be < 1")
-    denom = 1.0 + v * beta
-    if abs(denom) < 1e-12:
-        raise ValueError("composition is singular: infinite coordinate velocity")
-    return (v + beta) / denom
-
-
 def _loop_times(u: float, beta: float, L: float, ell: float) -> tuple[float, float, float, float]:
     """(t1, x1, t2, t3): handoff1's t and x, handoff2's t, the arrival's t."""
     t1, x1 = L / u + ell, L + ell  # leg 1 + outbound light leg

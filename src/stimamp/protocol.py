@@ -18,7 +18,7 @@ import numpy as np
 
 from .amplifier import Variant
 from .fock import ATOL_EXACT, single_photon_state
-from .statistics import _check_angle, _check_int, closed_form_probs, monte_carlo_probs
+from .statistics import _check_angle, _check_int, _is_int, closed_form_probs, monte_carlo_probs
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
     bits = tuple(bits)
     if not bits:
         raise ValueError("bit list is empty")
-    if not all(isinstance(b, (int, np.integer)) and b in (0, 1) for b in bits):
+    if not all(_is_int(b) and b in (0, 1) for b in bits):
         raise ValueError("bits must be the integers 0 or 1")
     bits = tuple(int(b) for b in bits)
     p0 = closed_form_probs(config.theta_bit0, config.variant).p20

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifier import Variant, scatter
+from .amplifier import Variant, _check_variant, scatter
 from .fock import ATOL_EXACT, projection_triple
 
 # Candidate rows per Monte Carlo chunk: 16384 x 4 doubles is 512 KiB.
@@ -70,16 +70,20 @@ def _check_angle(theta: float) -> None:
         raise ValueError(f"theta must satisfy |theta| <= 2**20 (period pi), got {float(theta)}")
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; a bool is not one, though bool subclasses int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_int(name: str, value, minimum: int) -> None:
     """Reject anything but a Python or numpy integer >= minimum."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    if not _is_int(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}")
 
 
 def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     """Closed-form outcome triple for the orthogonal-pair mixture."""
-    if not isinstance(variant, Variant):
-        raise ValueError(f"variant must be a Variant, got {variant!r}")
+    _check_variant(variant)
     _check_angle(theta)
     # math on Python floats gives numpy's scalar doubles; ** 2 is C pow, and x*x can differ.
     c2 = math.cos(2.0 * theta) ** 2

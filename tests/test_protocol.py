@@ -88,7 +88,7 @@ class TestTransmit:
         with pytest.raises(ValueError):
             transmit(cfg, [0, 2])
 
-    @pytest.mark.parametrize("bit", [0.5, 1.7, "1", np.float64(1.0), None])
+    @pytest.mark.parametrize("bit", [0.5, 1.7, "1", np.float64(1.0), None, True, False])
     def test_rejects_bits_that_are_not_the_integers_0_or_1(self, bit):
         # int() used to truncate: [0.5, 1.7] was sent as (0, 1).
         with pytest.raises(ValueError, match=r"^bits must be the integers 0 or 1$"):

@@ -378,8 +378,9 @@ class TestSweep:
 # The integer rule at each call site: (argument name, minimum, call).  A call
 # reads no sweep row and builds a ProtocolConfig without transmitting, so a
 # rejection must come at the call.  Unchecked, a float would reach range or
-# the MC kernel's slicing, a None seed would draw OS entropy, a Generator would
-# advance the caller's, and () would give seed 0's stream.
+# the MC kernel's slicing, a bool would pass as 0 or 1, a None seed would draw
+# OS entropy, a Generator would advance the caller's, and () would give seed
+# 0's stream.
 INTEGER_SITES = {
     "mc_n": ("n", 1, lambda v: monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, v, 1)[0]),
     "mc_seed": ("seed", 0, lambda v: monte_carlo_probs(0.7, Variant.IDENTICAL, 50, v)[0]),
@@ -387,9 +388,9 @@ INTEGER_SITES = {
     "pairs_per_bit": ("pairs_per_bit", 1, lambda v: ProtocolConfig(pairs_per_bit=v, seed=3)),
     "config_seed": ("seed", 0, lambda v: ProtocolConfig(pairs_per_bit=20, seed=v)),
 }
-NOT_INTEGERS = [2.5, 1e3, np.float64(7.0), "10", None]
+NOT_INTEGERS = [2.5, 1e3, np.float64(7.0), "10", None, True, False]
 SITE_NOT_INTEGERS = {
-    "mc_seed": [np.random.default_rng(1), (), (1, -1)],
+    "mc_seed": [np.random.default_rng(1), (), (1, -1), (1, True)],
     "sweep_steps": [5.0, np.float64(5.0), "5"],
     "config_seed": [np.float64(3.0), "3"],
 }
