@@ -6,8 +6,6 @@ speed beta = 2u/(1+u^2), the return message arrives before the original
 was sent.
 """
 
-import numpy as np
-
 from stimamp.kinematics import LoopConfig, run_loop, violation_threshold
 
 print("Round trip with u=2, L=1, ell=0:")

@@ -41,8 +41,8 @@ class EmissionConstants:
 
     def __post_init__(self):
         for name in ("omega", "mu", "hbar", "c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def lambda_squared(k: EmissionConstants = EmissionConstants()) -> float:
@@ -83,6 +83,7 @@ def scatter(theta: float, variant: Variant) -> tuple[float, np.ndarray, np.ndarr
     amp11 = s
     total = 1.0 + c * c
     if variant is Variant.DISTINGUISHABLE:
-        return total, np.array([abs(amp20) ** 2, abs(amp11) ** 2]), np.array([state20, state11])
-    coherent = (amp20 * state20 + amp11 * state11) / np.sqrt(total)
+        return total, np.array([amp20**2, amp11**2]), np.array([state20, state11])
+    # Times the reciprocal: the pinned bits and digests hold its rounding, and / moves ~1 in 4 last bits.
+    coherent = (amp20 * state20 + amp11 * state11) * (1.0 / np.sqrt(total))
     return total, np.array([total, 0.0]), np.array([coherent, coherent])

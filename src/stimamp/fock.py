@@ -1,6 +1,7 @@
 """Linear algebra for single-photon polarization and the symmetric two-photon subspace.
 
-Single-photon amplitudes live over the dipole-aligned basis {|0>, |pi/2>}.
+Amplitude vectors are real float64; single-photon ones live over the
+dipole-aligned basis {|0>, |pi/2>}.
 Two-photon amplitudes live over the ordered basis (|2,0>, |1,1>, |0,2>):
 index 0 = both photons along the dipole, 1 = one in each mode, 2 = both
 perpendicular.  The rotation family places |1,1> centrally so the matrix
@@ -16,14 +17,14 @@ ATOL_EXACT = 1e-12
 ATOL_INPUT = 1e-9
 
 # Dipole-frame two-photon basis vectors.
-E20 = np.array([1.0, 0.0, 0.0], dtype=complex)
-E11 = np.array([0.0, 1.0, 0.0], dtype=complex)
-E02 = np.array([0.0, 0.0, 1.0], dtype=complex)
+E20 = np.array([1.0, 0.0, 0.0])
+E11 = np.array([0.0, 1.0, 0.0])
+E02 = np.array([0.0, 0.0, 1.0])
 
 
 def single_photon_state(theta: float) -> np.ndarray:
-    """Amplitudes (cos theta, sin theta) of |theta> in the dipole basis."""
-    return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
+    """Real amplitudes (cos theta, sin theta) of |theta> in the dipole basis."""
+    return np.array([np.cos(theta), np.sin(theta)])
 
 
 def rotation2(theta: float) -> np.ndarray:
@@ -83,14 +84,14 @@ def symmetric_lift(rot: np.ndarray) -> np.ndarray:
 
 
 def apply_rotation(rot: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Rotate a two-photon amplitude vector.
+    """Rotate a two-photon amplitude vector; the result has the state's dtype.
 
     With rows holding the rotated-state expansions, amplitudes transform
     with the transpose: basis vector i maps onto row i.
     """
-    return rot.T @ np.asarray(state, dtype=complex)
+    return rot.T @ state
 
 
 def projection_triple(state: np.ndarray) -> np.ndarray:
-    """Probabilities of the dipole-frame outcomes (|2,0>, |1,1>, |0,2>)."""
-    return np.abs(np.asarray(state, dtype=complex)) ** 2
+    """Probabilities |amplitude|^2 of the dipole-frame outcomes (|2,0>, |1,1>, |0,2>)."""
+    return np.abs(state) ** 2

@@ -55,7 +55,7 @@ def gamma(beta: float) -> float:
 
 def boost(e: Event, beta: float) -> Event:
     """Standard Lorentz boost to the frame moving at +beta."""
-    if abs(beta) >= 1.0:
+    if not abs(beta) < 1.0:  # NaN fails every comparison
         raise ValueError("|beta| must be < 1")
     g = gamma(beta)
     return Event(g * (e.t - beta * e.x), g * (e.x - beta * e.t))

@@ -91,11 +91,8 @@ def reduced_density(theta: float) -> np.ndarray:
     here 0, gives linearity_gap its linear prediction.
     """
     _check_angle(theta)
-    rho = np.zeros((2, 2), dtype=complex)
-    for angle in (theta, theta + np.pi / 2.0):
-        psi = single_photon_state(angle)
-        rho += 0.5 * np.outer(psi, psi.conj())
-    return rho
+    psis = [single_photon_state(angle) for angle in (theta, theta + np.pi / 2.0)]
+    return sum(0.5 * np.outer(psi, psi) for psi in psis)
 
 
 def linearity_gap(theta: float, variant: Variant) -> LinearityReport:

@@ -25,7 +25,12 @@ class TestLambdaSquared:
         k = EmissionConstants(omega=2.0, mu=3.0)
         assert lambda_squared(k) == pytest.approx(9 / np.pi**2)
 
-    @pytest.mark.parametrize("bad", [dict(omega=0.0), dict(mu=-1.0), dict(hbar=0.0), dict(c=-2.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(omega=0.0), dict(mu=-1.0), dict(hbar=0.0), dict(c=-2.0)]
+        # NaN and the infinities too: each would give lambda^2 = nan, 0.0 or inf.
+        + [{name: value} for name in ("omega", "mu", "hbar", "c") for value in (np.nan, np.inf, -np.inf)],
+    )
     def test_rejects_non_positive(self, bad):
         with pytest.raises(ValueError):
             EmissionConstants(**bad)

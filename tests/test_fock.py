@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stimamp.amplifier import Variant, scatter
 from stimamp.fock import (
     E02,
     E11,
@@ -12,6 +13,8 @@ from stimamp.fock import (
     symmetric_lift,
     two_photon_rotation,
 )
+from stimamp.protocol import reduced_density
+from stimamp.statistics import outcome_table
 
 RNG = np.random.default_rng(20260826)
 
@@ -124,3 +127,18 @@ def test_projection_probability():
     rotated = apply_rotation(two_photon_rotation(np.pi / 4), E20)
     # cos^4(pi/4) overlap with the unrotated both-parallel state
     assert projection_triple(rotated)[0] == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_amplitude_layer_is_real(variant):
+    # The model's amplitudes are all real, so every array it builds is float64.
+    _, weights, states = scatter(0.3, variant)
+    arrays = [weights, states, single_photon_state(0.3), apply_rotation(two_photon_rotation(0.3), E20)]
+    arrays += [*outcome_table(0.3, variant), reduced_density(0.3)]
+    assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
+
+
+def test_apply_keeps_a_complex_state_complex():
+    out = apply_rotation(two_photon_rotation(0.3), np.array([0.6, 0.0, 0.8j]))
+    assert out.dtype == np.complex128
+    np.testing.assert_allclose(projection_triple(out).sum(), 1.0, atol=1e-12)

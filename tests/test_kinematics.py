@@ -76,9 +76,10 @@ class TestBoost:
             b = boost(e, beta)
             assert b.t**2 - b.x**2 == pytest.approx(e.t**2 - e.x**2, abs=1e-12)
 
-    def test_rejects_superluminal_frame(self):
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 1.5, float("inf"), float("nan")])
+    def test_rejects_superluminal_frame(self, beta):
         with pytest.raises(ValueError):
-            boost(Event(0, 0), 1.0)
+            boost(Event(1.0, 2.0), beta)
 
 
 class TestRunLoop:
