@@ -30,6 +30,9 @@ from .statistics import (
 
 SCHEMA_VERSION = "1"
 
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_encode_json_str = json.encoder.encode_basestring_ascii  # json.dumps's string encoder
+
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGNORECASE)
 
 
@@ -71,10 +74,58 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_scalar(value) -> str:
+    """A row cell as json.dumps encodes it; TypeError for a list, dict or other value."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, str):
+        return _encode_json_str(value)
+    if value is None or isinstance(value, bool):
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"not a JSON scalar: {value!r}")
+
+
+def _json_row_template(keys: tuple) -> str | None:
+    """A %-template of one row at the depth of doc["rows"], one %s per value; None unless str keys."""
+    if not all(isinstance(key, str) for key in keys):
+        return None
+    fields = ",".join(f"\n      {_encode_json_str(key).replace('%', '%%')}: %s" for key in keys)
+    return "{" + fields + "\n    }" if keys else "{}"
+
+
+def _write_json(doc: dict, out) -> None:
+    """Write json.dumps(doc, indent=2) and a newline, one row at a time; "rows" must be doc's last key.
+
+    Rows with the first row's keys in its order and scalar values fill a
+    template of those keys; any other row is encoded whole.
+    """
+    head = json.dumps({**doc, "rows": []}, indent=2)
+    out.write(head[: -len("]\n}")])  # up to the rows' "["
+    keys = template = None
+    separator = "\n    "
+    for row in doc["rows"]:
+        if keys is None:
+            keys = tuple(row)
+            template = _json_row_template(keys)
+        try:
+            if template is None or tuple(row) != keys:
+                raise TypeError("row does not fit the template")
+            text = template % tuple(map(_json_scalar, row.values()))
+        except TypeError:
+            text = json.dumps(row, indent=2).replace("\n", "\n    ")
+        out.write(separator + text)
+        separator = ",\n    "
+    out.write("]\n}\n" if keys is None else "\n  ]\n}\n")
+
+
 def render(doc: dict, fmt: str, out) -> None:
-    """Write doc to out: JSON, or CSV row by row after '#' lines of parameters and summary."""
+    """Write doc to out row by row: JSON, or CSV after '#' lines of parameters and summary."""
     if fmt == "json":
-        out.write(json.dumps({**doc, "rows": list(doc["rows"])}, indent=2) + "\n")
+        _write_json(doc, out)
         return
     out.write(f"# schema_version={doc['schema_version']}\n# command={doc['command']}\n")
     for key, value in (*doc["parameters"].items(), *doc.get("summary", {}).items()):
@@ -91,8 +142,8 @@ def emit(args, rows, summary: dict | None = None) -> int:
     """Write the command's document to --out or stdout; 3 if the write fails.
 
     The parameters are the command's own flags in parser order, a Variant
-    by its value.  CSV reads rows once, as it writes, so rows that can
-    raise a usage error must come as a list.
+    by its value.  Both formats read rows once, as they write, so rows
+    that can raise a usage error must come as a list.
     """
     parameters = {
         key: value.value if isinstance(value, Variant) else value

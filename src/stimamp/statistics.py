@@ -104,13 +104,11 @@ def outcome_table(theta: float, variant: Variant):
     branch layout of scatter.
     """
     _check_angle(theta)
-    total = np.empty(2)
-    branch = np.empty((2, 2))
-    proj = np.empty((4, 3))
-    for j, angle in enumerate((theta, theta + np.pi / 2.0)):
-        total[j], branch[j], states = scatter(angle, variant)
-        proj[2 * j : 2 * j + 2] = projection_triple(states)
-    return np.array([0.5, 0.5]), total, branch, proj
+    (total0, branch0, states0), (total1, branch1, states1) = (
+        scatter(angle, variant) for angle in (theta, theta + np.pi / 2.0)
+    )
+    proj = np.concatenate((projection_triple(states0), projection_triple(states1)))
+    return np.array([0.5, 0.5]), np.array([total0, total1]), np.array([branch0, branch1]), proj
 
 
 def first_principles_probs(theta: float, variant: Variant) -> ProbabilityTriple:
@@ -154,9 +152,12 @@ def monte_carlo_probs(
     rng = np.random.default_rng(seed)
     inputs, total, bw, proj = outcome_table(theta, variant)
     accept = total / 2.0
-    p_branch0 = bw[:, 0] / bw.sum(axis=1)
-    lo, hi = np.cumsum(proj, axis=1)[:, :2].T  # row thresholds; lo <= hi as proj >= 0
-    counts = np.zeros(3, dtype=np.int64)
+    # Two-term sums added elementwise: the doubles of sum(axis=1) and cumsum, for less dispatch.
+    (w00, w01), (w10, w11) = bw.tolist()
+    p_branch0 = np.array([w00 / (w00 + w01), w10 / (w10 + w11)])
+    lo = proj[:, 0]
+    hi = lo + proj[:, 1]  # row thresholds; lo <= hi as proj >= 0
+    n20 = n11 = n02 = 0
     buf = np.empty((min(_CHUNK_ROWS, int(n / 0.7) + 16), 4))
     remaining = n
     while remaining > 0:
@@ -167,11 +168,11 @@ def monte_carlo_probs(
         v = u.take(kept, axis=0)  # u[kept]; take skips fancy indexing's overhead
         inp = inp.take(kept)
         row = 2 * inp + (v[:, 2] > p_branch0.take(inp))
-        above_lo = np.count_nonzero(v[:, 3] > lo.take(row))
-        above_hi = np.count_nonzero(v[:, 3] > hi.take(row))
-        counts += (len(kept) - above_lo, above_lo - above_hi, above_hi)
+        above_lo = int(np.count_nonzero(v[:, 3] > lo.take(row)))
+        above_hi = int(np.count_nonzero(v[:, 3] > hi.take(row)))
+        n20, n11, n02 = n20 + len(kept) - above_lo, n11 + above_lo - above_hi, n02 + above_hi
         remaining -= len(kept)
-    triple = CountTriple(int(counts[0]), int(counts[1]), int(counts[2]))
+    triple = CountTriple(n20, n11, n02)
     return triple, triple.estimates()
 
 

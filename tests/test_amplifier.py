@@ -26,6 +26,20 @@ class TestLambdaSquared:
         assert lambda_squared(k) == pytest.approx(9 / np.pi**2)
 
     @pytest.mark.parametrize(
+        "constants",
+        # omega^3 overflows; c^3 underflows to 0 (a division by zero); omega^3 underflows to 0.
+        [dict(omega=1e200), dict(c=1e-200), dict(omega=1e-200)],
+    )
+    def test_rejects_a_value_beyond_the_doubles(self, constants):
+        with pytest.raises(ValueError, match="outside the positive finite doubles"):
+            lambda_squared(EmissionConstants(**constants))
+
+    def test_tiny_powers_that_cancel(self):
+        # mu^2 = 1e-600 and c^3 = 1e-300 underflow alone, but their ratio is 1e-300.
+        value = lambda_squared(EmissionConstants(mu=1e-300, c=1e-100))
+        assert value == pytest.approx(1e-300 / (8 * np.pi**2), rel=1e-12)
+
+    @pytest.mark.parametrize(
         "bad",
         [dict(omega=0.0), dict(mu=-1.0), dict(hbar=0.0), dict(c=-2.0)]
         # NaN and the infinities too: each would give lambda^2 = nan, 0.0 or inf.

@@ -1,5 +1,7 @@
 import contextlib
+import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stimamp import cli
 from stimamp.cli import build_parser, main, parse_angle
@@ -124,6 +128,99 @@ class TestSweep:
             finally:
                 tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_json_memory_does_not_grow_with_steps(self):
+        # JSON is written row by row too; the whole document of 2e5 rows,
+        # as row dicts and then as text, took ~300 MB.
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--steps", "200000", "--format", "json"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+# The values a CLI document holds: floats (signed zeros, subnormals, NaN and
+# the infinities included), ints of any size, bools, None, and strings.
+json_scalars = st.one_of(
+    st.floats(),
+    st.integers(-(2**200), 2**200),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(st.characters(max_codepoint=127)),
+)
+
+
+@st.composite
+def cli_documents(draw):
+    """The shape emit builds: parameters (a list among them, as --u), maybe a summary, then rows."""
+    parameters = draw(st.dictionaries(st.text(), json_scalars | st.lists(st.floats(), max_size=4), max_size=6))
+    doc = {"schema_version": "1", "command": draw(st.text()), "parameters": parameters}
+    if draw(st.booleans()):
+        doc["summary"] = draw(st.dictionaries(st.text(), json_scalars, max_size=4))
+    keys = draw(st.lists(st.text(), unique=True, max_size=6))
+    rows = draw(st.lists(st.lists(json_scalars, min_size=len(keys), max_size=len(keys)), max_size=20))
+    doc["rows"] = [dict(zip(keys, values)) for values in rows]
+    return doc
+
+
+# Every kind of cell json.dumps spells its own way, and a key with a %, which the row template escapes.
+SPECIAL_ROW = {
+    "zero": 0.0,
+    "minus_zero": -0.0,
+    "subnormal": 5e-324,
+    "nan": math.nan,
+    "inf": math.inf,
+    "minus_inf": -math.inf,
+    "big": 2**100,
+    "flag": True,
+    "off": False,
+    "none": None,
+    "ascii": "identical",
+    "text": 'é\u2028"%s\\',
+    "%d": 1,
+}
+SPECIAL_DOC = {"schema_version": "1", "command": "causality-scan", "parameters": {"u": [2.0, 1e300], "L": 1.0}}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(cli_documents())
+@example({**SPECIAL_DOC, "rows": []})
+@example({**SPECIAL_DOC, "rows": [SPECIAL_ROW]})
+@example({**SPECIAL_DOC, "summary": {"error_rate": 0.5}, "rows": [SPECIAL_ROW] * 3})
+@example({**SPECIAL_DOC, "rows": [{}, {}]})
+def test_json_writer_is_json_dumps(doc):
+    out = io.StringIO()
+    cli.render({**doc, "rows": iter(doc["rows"])}, "json", out)  # read once, as it writes
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{"a": 1, "b": 2.0}, {"b": 2.0, "a": 1}],  # the same keys in another order
+        [{"a": 1}, {"a": 1, "b": None}],  # a key more
+        [{1: "x", None: 0.5}],  # keys that json.dumps converts
+        [{"a": [1.0, 2.0]}, {"a": {"b": [None]}}],  # nested values
+        [{"a": np.float64(0.1), "b": True}],  # a float subclass, as probs' oracle columns hold
+    ],
+)
+def test_json_writer_is_json_dumps_on_rows_of_other_shapes(rows):
+    doc = {"schema_version": "1", "command": "probs", "parameters": {}, "rows": rows}
+    out = io.StringIO()
+    cli.render(doc, "json", out)
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_writer_rejects_what_json_dumps_rejects():
+    doc = {"schema_version": "1", "command": "probs", "parameters": {}, "rows": [{"n": np.int64(3)}]}
+    with pytest.raises(TypeError):
+        json.dumps(doc)
+    with pytest.raises(TypeError):
+        cli.render(doc, "json", io.StringIO())
 
 
 def probs_to(stdout, buffering):

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stimamp import statistics
-from stimamp.amplifier import Variant, branch_weights
+from stimamp.amplifier import Variant, branch_weights, scatter
+from stimamp.fock import E11, E20, apply_rotation, projection_triple, two_photon_rotation
 from stimamp.protocol import ProtocolConfig, transmit
 from stimamp.statistics import (
     CountTriple,
@@ -169,6 +170,61 @@ def test_squares_are_pow_not_a_product():
     c = np.cos(2.0 * POW_NOT_PRODUCT)
     assert 2.0 * (c * c) / 3.0 != 2.0 * c**2 / 3.0
     assert closed_form_probs(POW_NOT_PRODUCT, Variant.IDENTICAL).p20.hex() == "0x1.5545a1c806a6dp-1"
+
+
+def numpy_scalar_rotation(theta):
+    """two_photon_rotation as numpy scalars computed it: the reference for math's doubles."""
+    c2 = np.cos(theta) ** 2
+    s2 = np.sin(theta) ** 2
+    s2t = np.sin(2.0 * theta)
+    c2t = np.cos(2.0 * theta)
+    r = 1.0 / np.sqrt(2.0)
+    return np.array([[c2, r * s2t, s2], [-r * s2t, c2t, r * s2t], [s2, -r * s2t, c2]])
+
+
+def numpy_scalar_scatter(theta, variant):
+    """scatter on numpy scalars, on numpy_scalar_rotation."""
+    c, s = np.cos(theta), np.sin(theta)
+    u = numpy_scalar_rotation(theta)
+    state20 = apply_rotation(u, E20)
+    state11 = apply_rotation(u, E11)
+    amp20 = np.sqrt(2.0) * c
+    amp11 = s
+    total = 1.0 + c * c
+    if variant is Variant.DISTINGUISHABLE:
+        return total, np.array([amp20**2, amp11**2]), np.array([state20, state11])
+    coherent = (amp20 * state20 + amp11 * state11) * (1.0 / np.sqrt(total))
+    return total, np.array([total, 0.0]), np.array([coherent, coherent])
+
+
+def numpy_scalar_outcome_table(theta, variant):
+    """outcome_table on numpy_scalar_scatter, filling preallocated arrays."""
+    total = np.empty(2)
+    branch = np.empty((2, 2))
+    proj = np.empty((4, 3))
+    for j, angle in enumerate((theta, theta + np.pi / 2.0)):
+        total[j], branch[j], states = numpy_scalar_scatter(angle, variant)
+        proj[2 * j : 2 * j + 2] = projection_triple(states)
+    return np.array([0.5, 0.5]), total, branch, proj
+
+
+def bits(*values):
+    """Each value's shape and dtype, and its elements as float.hex."""
+    return [(np.shape(v), np.asarray(v).dtype, [float(x).hex() for x in np.ravel(v)]) for v in values]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(theta=st.floats(-(2.0**20), 2.0**20, allow_nan=False))
+@example(theta=0.0)
+@example(theta=2.0**20)
+@example(theta=-(2.0**20))
+@example(theta=POW_NOT_PRODUCT)
+def test_amplitude_layer_matches_numpy_scalars_bit_for_bit(theta):
+    # The oracle columns print 17 digits and the MC tables set every count.
+    assert bits(two_photon_rotation(theta)) == bits(numpy_scalar_rotation(theta))
+    for variant in Variant:
+        assert bits(*scatter(theta, variant)) == bits(*numpy_scalar_scatter(theta, variant))
+        assert bits(*outcome_table(theta, variant)) == bits(*numpy_scalar_outcome_table(theta, variant))
 
 
 ANGLE_LIMIT = 2.0**20
