@@ -89,10 +89,8 @@ def _json_scalar(value) -> str:
     raise TypeError(f"not a JSON scalar: {value!r}")
 
 
-def _json_row_template(keys: tuple) -> str | None:
-    """A %-template of one row at the depth of doc["rows"], one %s per value; None unless str keys."""
-    if not all(isinstance(key, str) for key in keys):
-        return None
+def _json_row_template(keys: tuple) -> str:
+    """A %-template of one row at the depth of doc["rows"], one %s per value."""
     fields = ",".join(f"\n      {_encode_json_str(key).replace('%', '%%')}: %s" for key in keys)
     return "{" + fields + "\n    }" if keys else "{}"
 
@@ -100,26 +98,19 @@ def _json_row_template(keys: tuple) -> str | None:
 def _write_json(doc: dict, out) -> None:
     """Write json.dumps(doc, indent=2) and a newline, one row at a time; "rows" must be doc's last key.
 
-    Rows with the first row's keys in its order and scalar values fill a
-    template of those keys; any other row is encoded whole.
+    Every row fills the template of the first row's keys, so rows must
+    keep emit's row contract; a cell that is not a JSON scalar raises TypeError.
     """
     head = json.dumps({**doc, "rows": []}, indent=2)
     out.write(head[: -len("]\n}")])  # up to the rows' "["
-    keys = template = None
+    template = None
     separator = "\n    "
     for row in doc["rows"]:
-        if keys is None:
-            keys = tuple(row)
-            template = _json_row_template(keys)
-        try:
-            if template is None or tuple(row) != keys:
-                raise TypeError("row does not fit the template")
-            text = template % tuple(map(_json_scalar, row.values()))
-        except TypeError:
-            text = json.dumps(row, indent=2).replace("\n", "\n    ")
-        out.write(separator + text)
+        if template is None:
+            template = _json_row_template(tuple(row))
+        out.write(separator + template % tuple(map(_json_scalar, row.values())))
         separator = ",\n    "
-    out.write("]\n}\n" if keys is None else "\n  ]\n}\n")
+    out.write("]\n}\n" if template is None else "\n  ]\n}\n")
 
 
 def render(doc: dict, fmt: str, out) -> None:
@@ -143,7 +134,9 @@ def emit(args, rows, summary: dict | None = None) -> int:
 
     The parameters are the command's own flags in parser order, a Variant
     by its value.  Both formats read rows once, as they write, so rows
-    that can raise a usage error must come as a list.
+    that can raise a usage error must come as a list.  Each row is a flat
+    dict with the first row's str keys, in the same order; each cell is a
+    float (np.float64 included), int, bool, None or str.
     """
     parameters = {
         key: value.value if isinstance(value, Variant) else value

@@ -72,7 +72,10 @@ def _loop_times(u: float, beta: float, L: float, ell: float) -> tuple[float, flo
     if u <= beta:
         raise ValueError("return leg never progresses toward the origin (u <= beta)")
     g = gamma(beta)
-    tau = (x1 - ell) / (g * (u - beta))
+    rate = g * (u - beta)  # -dx/dtau; were it infinite, tau would be 0 and the return leg lost
+    if not math.isfinite(rate):
+        raise ValueError(f"loop coordinates overflow: u = {u!r} is too large for beta = {beta!r}")
+    tau = (x1 - ell) / rate
     t2 = t1 + g * tau * (1.0 - beta * u)
     t3 = t2 + ell  # final light leg; a t1, x1 or t2 that overflowed leaves t3 not finite
     if not math.isfinite(t3):
@@ -103,7 +106,9 @@ def violation_threshold(u: float) -> float | None:
     2u/(1 + u^2), which depends on u alone.  Costs one run_loop, for the
     upper bracket, and ~31 steps of its arithmetic.  Returns None for
     0 < u <= 1 (light-speed or slower channels never violate) and for
-    1 < u <= 1 + 4e-8, where the threshold rounds to 1.
+    1 < u <= 1 + 4e-8, where the threshold rounds to 1.  Raises
+    ValueError for u >~ 8e300, where gamma(beta) * (u - beta) overflows
+    at the upper bracket.
     """
     top = LoopConfig(u=u, beta=1.0 - 1e-15)  # rejects a bad u before the u <= 1 shortcut
     if u <= 1.0 or run_loop(top).delta_t >= 0.0:

@@ -161,6 +161,11 @@ class TestRunLoop:
         assert abs(handoff2.t - r.handoff2.t) <= tol
         assert abs(handoff2.x - r.handoff2.x) <= tol
 
+    def test_largest_speeds_below_the_return_leg_overflow_still_violate(self):
+        # The guard on gamma * (u - beta) leaves finite return legs alone, however fast.
+        r = run_loop(LoopConfig(u=8e300, beta=0.5))
+        assert r.violated and r.delta_t == pytest.approx(-0.5)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LoopConfig(u=2.0, beta=1.0)
@@ -205,6 +210,13 @@ class TestViolationThreshold:
     def test_rejects_bad_speed(self, u):
         with pytest.raises(ValueError, match="u must be positive and finite"):
             violation_threshold(u)
+
+    def test_return_leg_overflow_raises(self):
+        # Near 8.04e300, gamma(1 - 1e-15) * u overflows at the upper bracket;
+        # below it the bisection still finds a threshold within 1e-9 of 2/u.
+        assert 0.0 < violation_threshold(8e300) < 1e-9
+        with pytest.raises(ValueError, match=r"u = 8\.1e\+300 is too large for beta = 0\.999999999999999"):
+            violation_threshold(8.1e300)
 
     def test_flip_happens_exactly_once(self):
         u = 3.0
