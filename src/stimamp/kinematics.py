@@ -76,6 +76,8 @@ def _loop_times(u: float, beta: float, L: float, ell: float) -> tuple[float, flo
     if not math.isfinite(rate):
         raise ValueError(f"loop coordinates overflow: u = {u!r} is too large for beta = {beta!r}")
     tau = (x1 - ell) / rate
+    if L / u == 0.0 or (tau == 0.0 and x1 > ell):  # a leg of positive length rounded to none
+        raise ValueError(f"loop coordinates underflow: L = {L!r} is too small for u = {u!r} and beta = {beta!r}")
     t2 = t1 + g * tau * (1.0 - beta * u)
     t3 = t2 + ell  # final light leg; a t1, x1 or t2 that overflowed leaves t3 not finite
     if not math.isfinite(t3):
@@ -91,7 +93,8 @@ def run_loop(cfg: LoopConfig) -> LoopReport:
     with S'; superluminal leg at speed u in S' back toward the origin,
     ending at Bob(2), placed so the final light leg to Alice(1) has
     length ell in S.  All events in S coordinates.  Raises ValueError
-    when a coordinate overflows.
+    when a coordinate overflows, or when a superluminal leg of positive
+    length underflows to 0 (L too small for u).
     """
     t1, x1, t2, t3 = _loop_times(cfg.u, cfg.beta, cfg.L, cfg.ell)
     delta_t = float(t3)

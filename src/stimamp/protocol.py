@@ -18,7 +18,7 @@ import numpy as np
 
 from .amplifier import Variant
 from .fock import ATOL_EXACT, single_photon_state
-from .statistics import _check_angle, _check_int, _is_int, closed_form_probs, monte_carlo_probs
+from .statistics import _check_angle, _check_int, _is_int, _sampling_thresholds, closed_form_probs, monte_carlo_probs
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class LinearityReport:
 def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
     """Simulate sending a bit string over the amplifier channel.
 
-    Each bit burns pairs_per_bit EPR pairs at its symbol angle; the
+    Each bit burns pairs_per_bit EPR pairs at its symbol angle, sampled
+    from that symbol's thresholds, built once per call; the
     decoder thresholds the estimated |2,0> probability at the midpoint of
     the two symbols' closed-form values, ties decoding to 0.
     """
@@ -69,12 +70,13 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
     p0 = closed_form_probs(config.theta_bit0, config.variant).p20
     p1 = closed_form_probs(config.theta_bit1, config.variant).p20
     midpoint = 0.5 * (p0 + p1)
+    symbols = [(theta, _sampling_thresholds(theta, config.variant)) for theta in (config.theta_bit0, config.theta_bit1)]
     decoded = []
     estimates = []
     for i, bit in enumerate(bits):
-        theta = config.theta_bit1 if bit else config.theta_bit0
+        theta, tables = symbols[bit]
         # Deterministic per-bit substream, keyed (seed, i); bits may be simulated in parallel.
-        _, est = monte_carlo_probs(theta, config.variant, config.pairs_per_bit, (config.seed, i))
+        _, est = monte_carlo_probs(theta, config.variant, config.pairs_per_bit, (config.seed, i), thresholds=tables)
         estimates.append(est.p20)
         if est.p20 == midpoint:
             decoded.append(0)

@@ -127,11 +127,29 @@ def first_principles_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     return ProbabilityTriple(*(weights / (inputs[0] * total[0] + inputs[1] * total[1])))
 
 
+def _sampling_thresholds(theta: float, variant: Variant):
+    """monte_carlo_probs's per-symbol tables, from outcome_table.
+
+    Returns (input weights, acceptance per input, branch-0 probability per
+    input, outcome thresholds lo and hi per projection row).
+    """
+    inputs, total, bw, proj = outcome_table(theta, variant)
+    accept = total / 2.0
+    # Two-term sums added elementwise: the doubles of sum(axis=1) and cumsum, for less dispatch.
+    (w00, w01), (w10, w11) = bw.tolist()
+    p_branch0 = np.array([w00 / (w00 + w01), w10 / (w10 + w11)])
+    lo = proj[:, 0]
+    hi = lo + proj[:, 1]  # row thresholds; lo <= hi as proj >= 0
+    return inputs, accept, p_branch0, lo, hi
+
+
 def monte_carlo_probs(
     theta: float,
     variant: Variant,
     n: int,
     seed,
+    *,
+    thresholds=None,
 ) -> tuple[CountTriple, ProbabilityTriple]:
     """Sample n i.i.d. two-photon outcomes of the orthogonal-pair mixture.
 
@@ -144,19 +162,15 @@ def monte_carlo_probs(
     probability total_weight/2, conditioning on two-photon events; branch and
     outcome use inverse-CDF over the fixed orderings, ties to the lower index.
     Outcomes are counted by threshold, exactly since each row's lo <= hi.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  A caller that samples one symbol many
+    times passes thresholds=_sampling_thresholds(theta, variant), built
+    once, and gets the same counts without rebuilding the tables.
     """
     _check_int("n", n, 1)
     for entry in seed if isinstance(seed, tuple) and seed else (seed,):
         _check_int("seed", entry, 0)
     rng = np.random.default_rng(seed)
-    inputs, total, bw, proj = outcome_table(theta, variant)
-    accept = total / 2.0
-    # Two-term sums added elementwise: the doubles of sum(axis=1) and cumsum, for less dispatch.
-    (w00, w01), (w10, w11) = bw.tolist()
-    p_branch0 = np.array([w00 / (w00 + w01), w10 / (w10 + w11)])
-    lo = proj[:, 0]
-    hi = lo + proj[:, 1]  # row thresholds; lo <= hi as proj >= 0
+    inputs, accept, p_branch0, lo, hi = thresholds if thresholds is not None else _sampling_thresholds(theta, variant)
     n20 = n11 = n02 = 0
     buf = np.empty((min(_CHUNK_ROWS, int(n / 0.7) + 16), 4))
     remaining = n

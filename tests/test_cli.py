@@ -524,6 +524,38 @@ def test_return_leg_overflow_names_u(command, capsys):
     assert err.startswith(f"error: loop coordinates overflow: u = {u!r} is too large for beta = "), err
 
 
+# L/u, or the return leg's S' time tau, underflows to 0 though the leg has
+# positive length: the loop would close with delta_t = 0 and never violate.
+LEG_UNDERFLOWS = [
+    "causality --u 2 --beta 0.9 -L 5e-324",
+    "causality --u 1e300 --beta 0.9 -L 1e-300",
+    "causality --u 2 --beta 0.999999999999999 -L 5e-320",  # tau alone underflows
+]
+
+
+@pytest.mark.parametrize("command", LEG_UNDERFLOWS)
+def test_leg_underflow_names_L(command, capsys):
+    assert main(shlex.split(command)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    argv = shlex.split(command)
+    L = float(argv[argv.index("-L") + 1])
+    assert err.startswith(f"error: loop coordinates underflow: L = {L!r} is too small for u = "), err
+
+
+@pytest.mark.parametrize(
+    "command,delta_t,violated",
+    [
+        ("causality --u 2 --beta 0.9 -L 1e-320", -2.273e-321, True),  # subnormal legs, none lost
+        ("causality --u 2 --beta 0.9 -L 1e-20 --ell 1", 2.0, False),  # L is below ell's ulp: 2 ell is right
+    ],
+)
+def test_tiny_legs_that_do_not_underflow_still_run(command, delta_t, violated, capsys):
+    assert main(shlex.split(command)) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["delta_t"], row["violated"]) == (delta_t, violated)
+
+
 @pytest.mark.parametrize("command", ANGLE_ERRORS)
 def test_angle_error_names_theta(command):
     # A subprocess: stderr as a user sees it, numpy warnings included.

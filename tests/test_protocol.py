@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stimamp import protocol
+from stimamp import protocol, statistics
 from stimamp.amplifier import Variant
 from stimamp.protocol import (
     ProtocolConfig,
@@ -9,9 +11,13 @@ from stimamp.protocol import (
     reduced_density,
     transmit,
 )
-from stimamp.statistics import ProbabilityTriple, closed_form_probs
+from stimamp.statistics import ProbabilityTriple, closed_form_probs, monte_carlo_probs
 
 RNG = np.random.default_rng(11)
+
+# test_estimate_at_the_midpoint_decodes_to_0's symbols, and that pair mirrored.
+MIDPOINT_SYMBOLS = (0.5002685393768099, 0.2118899894991768)
+MIRRORED_MIDPOINT_SYMBOLS = MIDPOINT_SYMBOLS[::-1]
 
 
 class TestConfig:
@@ -70,13 +76,13 @@ class TestTransmit:
 
     def test_estimate_at_the_midpoint_decodes_to_0(self, monkeypatch):
         # Symbols whose midpoint rounds nearer p1, so the distance rule alone would say 1.
-        cfg = ProtocolConfig(pairs_per_bit=10, theta_bit0=0.5002685393768099, theta_bit1=0.2118899894991768)
+        cfg = ProtocolConfig(10, *MIDPOINT_SYMBOLS)
         p0 = closed_form_probs(cfg.theta_bit0, cfg.variant).p20
         p1 = closed_form_probs(cfg.theta_bit1, cfg.variant).p20
         midpoint = 0.5 * (p0 + p1)
         assert abs(midpoint - p1) < abs(midpoint - p0)
         estimate = ProbabilityTriple(midpoint, 1.0 / 3.0, 2.0 / 3.0 - midpoint)
-        monkeypatch.setattr(protocol, "monte_carlo_probs", lambda *args: (None, estimate))
+        monkeypatch.setattr(protocol, "monte_carlo_probs", lambda *args, **kwargs: (None, estimate))
         report = transmit(cfg, [1])
         assert report.per_bit_estimates == (midpoint,)
         assert report.decoded_bits == (0,)
@@ -103,6 +109,33 @@ class TestTransmit:
     def test_seed_determinism(self):
         cfg = ProtocolConfig(pairs_per_bit=50, seed=9)
         assert transmit(cfg, [1, 0, 1]) == transmit(cfg, [1, 0, 1])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        st.lists(st.integers(0, 1), min_size=1, max_size=40),
+        st.integers(0, 2**64),
+        st.integers(1, 2000),
+        st.sampled_from(Variant),
+        st.sampled_from([(0.0, np.pi / 4), MIDPOINT_SYMBOLS, MIRRORED_MIDPOINT_SYMBOLS]),
+    )
+    @example([1, 0, 1], 3, 20000, Variant.IDENTICAL, (0.0, np.pi / 4))  # a bit spans two _CHUNK_ROWS chunks
+    @example([0, 1, 1, 0], 7, 37, Variant.DISTINGUISHABLE, MIRRORED_MIDPOINT_SYMBOLS)
+    def test_estimates_equal_per_bit_kernel_calls(self, bits, seed, pairs, variant, symbols):
+        # The thresholds built once per transmit give each bit's own kernel call's doubles.
+        cfg = ProtocolConfig(pairs, *symbols, variant, seed)
+        expected = [
+            monte_carlo_probs(symbols[bit], variant, pairs, (seed, i))[1].p20.hex() for i, bit in enumerate(bits)
+        ]
+        assert [p.hex() for p in transmit(cfg, bits).per_bit_estimates] == expected
+
+    @pytest.mark.parametrize("length", [1, 200])
+    def test_tables_are_built_once_per_call(self, length, monkeypatch):
+        # Each symbol scatters |theta> and |theta + pi/2> once, whatever the bit count.
+        calls = []
+        scatter = statistics.scatter
+        monkeypatch.setattr(statistics, "scatter", lambda *args: calls.append(args) or scatter(*args))
+        transmit(ProtocolConfig(pairs_per_bit=10), [i % 2 for i in range(length)])
+        assert len(calls) == 4
 
 
 class TestReducedDensity:
