@@ -18,7 +18,15 @@ import numpy as np
 
 from .amplifier import Variant
 from .fock import ATOL_EXACT, single_photon_state
-from .statistics import _check_angle, _check_int, _is_int, _sampling_thresholds, closed_form_probs, monte_carlo_probs
+from .statistics import (
+    _check_angle,
+    _check_int,
+    _is_int,
+    _pcg64_states,
+    _sampling_thresholds,
+    closed_form_probs,
+    monte_carlo_probs,
+)
 
 
 @dataclass(frozen=True)
@@ -57,9 +65,11 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
     """Simulate sending a bit string over the amplifier channel.
 
     Each bit burns pairs_per_bit EPR pairs at its symbol angle, sampled
-    from that symbol's thresholds, built once per call; the
-    decoder thresholds the estimated |2,0> probability at the midpoint of
-    the two symbols' closed-form values, ties decoding to 0.
+    from that symbol's thresholds, built once per call.  Bit i draws from
+    default_rng((seed, i))'s stream: the states of all bits' streams are
+    computed together and loaded, one bit at a time, into one reused
+    generator.  The decoder thresholds the estimated |2,0> probability at
+    the midpoint of the two symbols' closed-form values, ties decoding to 0.
     """
     bits = tuple(bits)
     if not bits:
@@ -71,12 +81,16 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
     p1 = closed_form_probs(config.theta_bit1, config.variant).p20
     midpoint = 0.5 * (p0 + p1)
     symbols = [(theta, _sampling_thresholds(theta, config.variant)) for theta in (config.theta_bit0, config.theta_bit1)]
+    rng = np.random.default_rng(0)  # each bit loads its own state first
     decoded = []
     estimates = []
-    for i, bit in enumerate(bits):
+    for i, (bit, state) in enumerate(zip(bits, _pcg64_states(config.seed, range(len(bits))))):
         theta, tables = symbols[bit]
         # Deterministic per-bit substream, keyed (seed, i); bits may be simulated in parallel.
-        _, est = monte_carlo_probs(theta, config.variant, config.pairs_per_bit, (config.seed, i), thresholds=tables)
+        rng.bit_generator.state = state
+        _, est = monte_carlo_probs(
+            theta, config.variant, config.pairs_per_bit, (config.seed, i), thresholds=tables, rng=rng
+        )
         estimates.append(est.p20)
         if est.p20 == midpoint:
             decoded.append(0)

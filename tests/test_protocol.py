@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +21,26 @@ RNG = np.random.default_rng(11)
 # test_estimate_at_the_midpoint_decodes_to_0's symbols, and that pair mirrored.
 MIDPOINT_SYMBOLS = (0.5002685393768099, 0.2118899894991768)
 MIRRORED_MIDPOINT_SYMBOLS = MIDPOINT_SYMBOLS[::-1]
+
+# Upper 0.1% points of the chi-squared law, by degrees of freedom.
+CHI2_CRITICAL_0_001 = {6: 22.458, 8: 26.124}
+
+
+def binomial_chi2(counts, n, p):
+    """Pearson chi-squared of counts of k in 0..n against Binomial(n, p), and its degrees of freedom.
+
+    Each tail bin with an expected count below 5 is pooled into its neighbour.
+    """
+    histogram = [0] * (n + 1)
+    for k in counts:
+        histogram[k] += 1
+    expected = [len(counts) * math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+    for end in (0, -1):
+        while expected[end] < 5.0:
+            tail, tail_count = expected.pop(end), histogram.pop(end)
+            expected[end] += tail
+            histogram[end] += tail_count
+    return sum((o - e) ** 2 / e for o, e in zip(histogram, expected)), len(expected) - 1
 
 
 class TestConfig:
@@ -127,6 +150,33 @@ class TestTransmit:
             monte_carlo_probs(symbols[bit], variant, pairs, (seed, i))[1].p20.hex() for i, bit in enumerate(bits)
         ]
         assert [p.hex() for p in transmit(cfg, bits).per_bit_estimates] == expected
+
+    @pytest.mark.parametrize(
+        "variant,symbols", [(Variant.DISTINGUISHABLE, (0.0, np.pi / 4)), (Variant.IDENTICAL, (np.pi / 8, np.pi / 3))]
+    )
+    def test_per_bit_counts_follow_the_binomial_law(self, variant, symbols):
+        # Bit i's |2,0> count is Binomial(pairs, p20) and independent of the other bits'.
+        pairs, length = 10, 4000
+        counts = ([], [])
+        for seed in (0, 1):
+            report = transmit(ProtocolConfig(pairs, *symbols, variant, seed), [i % 2 for i in range(length)])
+            for bit, estimate in zip(report.sent_bits, report.per_bit_estimates):
+                counts[bit].append(round(estimate * pairs))
+        for theta, symbol_counts in zip(symbols, counts):
+            chi2, dof = binomial_chi2(symbol_counts, pairs, closed_form_probs(theta, variant).p20)
+            assert chi2 < CHI2_CRITICAL_0_001[dof]
+
+    def test_memory_does_not_grow_with_the_bit_count(self):
+        # The report holds ~60 B per bit; a state dict held for every bit would add ~700 B.
+        cfg, bits = ProtocolConfig(pairs_per_bit=1), [i % 2 for i in range(20_000)]
+        transmit(cfg, bits[:10])  # numpy's first-call allocations are not the bits'
+        tracemalloc.start()
+        try:
+            transmit(cfg, bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     @pytest.mark.parametrize("length", [1, 200])
     def test_tables_are_built_once_per_call(self, length, monkeypatch):

@@ -303,6 +303,11 @@ def reference_counts(theta, variant, n, seed):
     return CountTriple(*counts)
 
 
+# Bit indices of one entropy word and, from 2**32, of two, which _pcg64_states
+# leaves to default_rng itself.
+WIDE_INDICES = [0, 2**32 - 1, 2**32, 2**33 + 5]
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_angle(self, theta):
@@ -380,6 +385,24 @@ class TestMonteCarlo:
         expected = reference_counts(0.7, variant, n, np.random.SeedSequence((s, i)))
         assert monte_carlo_probs(0.7, variant, n, (s, i))[0] == expected
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**200)),
+        st.lists(st.one_of(st.integers(0, 2**20), st.sampled_from(WIDE_INDICES)), min_size=1, max_size=20),
+    )
+    @example(0, WIDE_INDICES)
+    @example(3, WIDE_INDICES)
+    @example(2**32 - 1, WIDE_INDICES)
+    @example(2**32, WIDE_INDICES)
+    @example(2**64 - 1, WIDE_INDICES)
+    @example(12345678901234567890, WIDE_INDICES)
+    @example(2**130 + 7, WIDE_INDICES)
+    @example(5, range(2 * statistics._SEED_BLOCK + 3))  # three blocks, the last partial
+    def test_seeding_equals_numpys(self, seed, indices):
+        # transmit's seeding of every bit at once is a second implementation of numpy's.
+        expected = [np.random.default_rng((seed, i)).bit_generator.state for i in indices]
+        assert list(statistics._pcg64_states(seed, indices)) == expected
+
     def test_memory_does_not_grow_with_n(self):
         # An array of all 2e6/0.7 candidates would take 87 MiB.
         tracemalloc.start()
@@ -455,7 +478,8 @@ NUMPY_INTEGERS = {
     "mc_seed": [np.int64(3), (np.uint64(3), np.int32(4))],
     "sweep_steps": [np.int64(5)],
     "pairs_per_bit": [np.int64(20)],
-    "config_seed": [np.int64(3)],
+    # transmit seeds from the seed's bits: a numpy seed of every width gives the Python int's report.
+    "config_seed": [np.int64(3), np.uint32(7), np.uint64(2**64 - 1)],
 }
 
 
