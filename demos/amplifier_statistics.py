@@ -27,7 +27,8 @@ for variant in Variant:
         )
 
 print("\nMonte Carlo check at theta=pi/8, distinguishable, n=10^6, seed=1:")
-counts, est = monte_carlo_probs(np.pi / 8, Variant.DISTINGUISHABLE, 10**6, 1)
+counts = monte_carlo_probs(np.pi / 8, Variant.DISTINGUISHABLE, 10**6, 1)
+est = counts.estimates()
 ref = closed_form_probs(np.pi / 8, Variant.DISTINGUISHABLE)
 print(f"  counts: {counts}")
 print(f"  estimates: ({est.p20:.5f}, {est.p11:.5f}, {est.p02:.5f})")

@@ -196,7 +196,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    counts, est = monte_carlo_probs(args.theta, args.variant, args.n, args.seed)
+    counts = monte_carlo_probs(args.theta, args.variant, args.n, args.seed)
+    est = counts.estimates()
     ref = closed_form_probs(args.theta, args.variant)
     row = {
         "n20": counts.n20,

@@ -88,14 +88,12 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
         theta, tables = symbols[bit]
         # Deterministic per-bit substream, keyed (seed, i); bits may be simulated in parallel.
         rng.bit_generator.state = state
-        _, est = monte_carlo_probs(
+        counts = monte_carlo_probs(
             theta, config.variant, config.pairs_per_bit, (config.seed, i), thresholds=tables, rng=rng
         )
-        estimates.append(est.p20)
-        if est.p20 == midpoint:
-            decoded.append(0)
-        else:
-            decoded.append(int(abs(est.p20 - p1) < abs(est.p20 - p0)))
+        p20 = counts.n20 / counts.total  # the double of counts.estimates().p20
+        estimates.append(p20)
+        decoded.append(0 if p20 == midpoint else int(abs(p20 - p1) < abs(p20 - p0)))
     errors = sum(d != b for d, b in zip(decoded, bits))
     return TransmissionReport(bits, tuple(decoded), tuple(estimates), errors / len(bits))
 

@@ -49,6 +49,8 @@ class ProbabilityTriple:
 
 @dataclass(frozen=True)
 class CountTriple:
+    """Counts of (|2,0>, |1,1>, |0,2>) outcomes, as monte_carlo_probs returns them."""
+
     n20: int
     n11: int
     n02: int
@@ -217,9 +219,11 @@ def monte_carlo_probs(
     *,
     thresholds=None,
     rng=None,
-) -> tuple[CountTriple, ProbabilityTriple]:
+) -> CountTriple:
     """Sample n i.i.d. two-photon outcomes of the orthogonal-pair mixture.
 
+    Returns only their CountTriple, whose total is n: a caller that wants
+    the frequencies calls its estimates(), and transmit reads n20 / total.
     Stream discipline: one PCG64 stream, default_rng(seed), from a seed that
     is an integer >= 0 or a non-empty tuple of them; each candidate shot
     consumes four uniforms in order (input angle, two-photon acceptance,
@@ -257,8 +261,7 @@ def monte_carlo_probs(
         above_hi = int(np.count_nonzero(v[:, 3] > hi.take(row)))
         n20, n11, n02 = n20 + len(kept) - above_lo, n11 + above_lo - above_hi, n02 + above_hi
         remaining -= len(kept)
-    triple = CountTriple(n20, n11, n02)
-    return triple, triple.estimates()
+    return CountTriple(n20, n11, n02)
 
 
 def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):

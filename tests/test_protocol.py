@@ -14,7 +14,7 @@ from stimamp.protocol import (
     reduced_density,
     transmit,
 )
-from stimamp.statistics import ProbabilityTriple, closed_form_probs, monte_carlo_probs
+from stimamp.statistics import CountTriple, ProbabilityTriple, closed_form_probs, monte_carlo_probs
 
 RNG = np.random.default_rng(11)
 
@@ -41,6 +41,39 @@ def binomial_chi2(counts, n, p):
             expected[end] += tail
             histogram[end] += tail_count
     return sum((o - e) ** 2 / e for o, e in zip(histogram, expected)), len(expected) - 1
+
+
+def binomial_tail(n, p, lo, hi):
+    """P(lo <= X < hi) for X ~ Binomial(n, p), 0 < p < 1, summed in log space so it scales to any n."""
+    if lo >= hi:
+        return 0.0
+    log_pmf = [
+        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * math.log(p) + (n - k) * math.log1p(-p)
+        for k in range(lo, hi)
+    ]
+    top = max(log_pmf)
+    return math.exp(top) * math.fsum(math.exp(t - top) for t in log_pmf)
+
+
+def binomial_tail_by_comb(n, p, lo, hi):
+    """binomial_tail from math.comb and powers: exact terms, but comb(n, k) overflows a double past n ~ 1030."""
+    return math.fsum(math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(lo, hi))
+
+
+class TestBinomialTail:
+    @pytest.mark.parametrize("n", [1, 2, 7, 10, 31, 60])
+    @pytest.mark.parametrize("p", [1.0 / 3.0, 2.0 / 3.0, 0.5, 0.01, 0.999])
+    def test_equals_the_comb_sum_at_small_n(self, n, p):
+        for lo, hi in ((0, n // 2), (n // 2, n + 1), (0, n + 1), (1, n), (n, n + 1), (3, 3)):
+            assert binomial_tail(n, p, lo, hi) == pytest.approx(binomial_tail_by_comb(n, p, lo, hi), rel=1e-12, abs=0)
+
+    def test_stays_finite_where_the_comb_sum_overflows(self):
+        n, p = 2000, 2.0 / 3.0
+        with pytest.raises(OverflowError):
+            binomial_tail_by_comb(n, p, 0, n // 2)
+        below, above = binomial_tail(n, p, 0, n // 2), binomial_tail(n, p, n // 2, n + 1)
+        assert 0.0 < below < 1e-40
+        assert above == pytest.approx(1.0 - below, rel=1e-12)
 
 
 class TestConfig:
@@ -104,8 +137,8 @@ class TestTransmit:
         p1 = closed_form_probs(cfg.theta_bit1, cfg.variant).p20
         midpoint = 0.5 * (p0 + p1)
         assert abs(midpoint - p1) < abs(midpoint - p0)
-        estimate = ProbabilityTriple(midpoint, 1.0 / 3.0, 2.0 / 3.0 - midpoint)
-        monkeypatch.setattr(protocol, "monte_carlo_probs", lambda *args, **kwargs: (None, estimate))
+        k = int(midpoint * 2**60)  # k / 2**60 == midpoint exactly
+        monkeypatch.setattr(protocol, "monte_carlo_probs", lambda *args, **kwargs: CountTriple(k, 0, 2**60 - k))
         report = transmit(cfg, [1])
         assert report.per_bit_estimates == (midpoint,)
         assert report.decoded_bits == (0,)
@@ -147,7 +180,8 @@ class TestTransmit:
         # The thresholds built once per transmit give each bit's own kernel call's doubles.
         cfg = ProtocolConfig(pairs, *symbols, variant, seed)
         expected = [
-            monte_carlo_probs(symbols[bit], variant, pairs, (seed, i))[1].p20.hex() for i, bit in enumerate(bits)
+            monte_carlo_probs(symbols[bit], variant, pairs, (seed, i)).estimates().p20.hex()
+            for i, bit in enumerate(bits)
         ]
         assert [p.hex() for p in transmit(cfg, bits).per_bit_estimates] == expected
 
@@ -165,6 +199,23 @@ class TestTransmit:
         for theta, symbol_counts in zip(symbols, counts):
             chi2, dof = binomial_chi2(symbol_counts, pairs, closed_form_probs(theta, variant).p20)
             assert chi2 < CHI2_CRITICAL_0_001[dof]
+
+    def test_error_rate_matches_the_binomial_tail(self):
+        # Bit 0's |2,0> count is Binomial(10, 2/3), and it errs below 5 of 10; bit 1's is
+        # Binomial(10, 1/3), and it errs at 5 or more, since the midpoint 1/2 decodes to 0.
+        pairs, length = 10, 4000
+        cfg0 = ProtocolConfig(pairs)
+        p0, p1 = (closed_form_probs(t, cfg0.variant).p20 for t in (cfg0.theta_bit0, cfg0.theta_bit1))
+        per_bit = (binomial_tail(pairs, p0, 0, pairs // 2), binomial_tail(pairs, p1, pairs // 2, pairs + 1))
+        errors, sent = [0, 0], [0, 0]
+        for seed in (0, 1):
+            report = transmit(ProtocolConfig(pairs, seed=seed), [i % 2 for i in range(length)])
+            for bit, decoded in zip(report.sent_bits, report.decoded_bits):
+                errors[bit] += decoded != bit
+                sent[bit] += 1
+        for bit in (0, 1):
+            q = per_bit[bit]
+            assert abs(errors[bit] - sent[bit] * q) < 4.0 * math.sqrt(sent[bit] * q * (1.0 - q))
 
     def test_memory_does_not_grow_with_the_bit_count(self):
         # The report holds ~60 B per bit; a state dict held for every bit would add ~700 B.
@@ -186,6 +237,15 @@ class TestTransmit:
         monkeypatch.setattr(statistics, "scatter", lambda *args: calls.append(args) or scatter(*args))
         transmit(ProtocolConfig(pairs_per_bit=10), [i % 2 for i in range(length)])
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("length", [1, 200])
+    def test_no_probability_triple_per_bit(self, length, monkeypatch):
+        # The decoder reads n20 / total from the counts; only the symbols' closed-form p20s build triples.
+        cfg, calls = ProtocolConfig(pairs_per_bit=10), []
+        check = ProbabilityTriple.__post_init__
+        monkeypatch.setattr(ProbabilityTriple, "__post_init__", lambda self: calls.append(self) or check(self))
+        transmit(cfg, [i % 2 for i in range(length)])
+        assert len(calls) == 2
 
 
 class TestReducedDensity:

@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +309,30 @@ def reference_counts(theta, variant, n, seed):
 # leaves to default_rng itself.
 WIDE_INDICES = [0, 2**32 - 1, 2**32, 2**33 + 5]
 
+# The Kolmogorov-Smirnov distance from uniform that 400 p-values exceed with probability 5%.
+KS_CRITICAL_400_0_05 = 0.068
+
+
+def chi2_p_value(counts, probs):
+    """Pearson chi-squared p-value of counts against probs, for 1 or 2 degrees of freedom.
+
+    A cell whose expected count is at most 1e-6 is dropped, after checking that it drew nothing.
+    """
+    n = sum(counts)
+    cells = [(o, n * p) for o, p in zip(counts, probs)]
+    assert all(o == 0 for o, e in cells if e <= 1e-6)
+    cells = [(o, e) for o, e in cells if e > 1e-6]
+    x = sum((o - e) ** 2 / e for o, e in cells)
+    dof = len(cells) - 1
+    assert dof in (1, 2)
+    return math.exp(-x / 2) if dof == 2 else math.erfc(math.sqrt(x / 2))
+
+
+def ks_distance_from_uniform(values):
+    ordered = sorted(values)
+    m = len(ordered)
+    return max(max((i + 1) / m - v, v - i / m) for i, v in enumerate(ordered))
+
 
 class TestMonteCarlo:
     @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
@@ -316,23 +342,23 @@ class TestMonteCarlo:
             monte_carlo_probs(theta, Variant.DISTINGUISHABLE, 10, 1)
 
     def test_seeded_determinism(self):
-        a, _ = monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, 5000, 123)
-        b, _ = monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, 5000, 123)
+        a = monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, 5000, 123)
+        b = monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, 5000, 123)
         assert a == b
 
     def test_exact_total(self):
-        counts, _ = monte_carlo_probs(0.7, Variant.IDENTICAL, 12345, 5)
+        counts = monte_carlo_probs(0.7, Variant.IDENTICAL, 12345, 5)
         assert counts.total == 12345
 
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("theta", [0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8])
     def test_converges_to_closed_forms(self, theta, variant):
-        _, est = monte_carlo_probs(theta, variant, 10**6, 42)
+        est = monte_carlo_probs(theta, variant, 10**6, 42).estimates()
         ref = closed_form_probs(theta, variant)
         assert np.max(np.abs(est.as_array() - ref.as_array())) < 3e-3
 
     def test_zero_probability_outcome_never_drawn(self):
-        counts, _ = monte_carlo_probs(np.pi / 4, Variant.IDENTICAL, 10**5, 9)
+        counts = monte_carlo_probs(np.pi / 4, Variant.IDENTICAL, 10**5, 9)
         assert counts.n20 == 0
 
     # Counts of the kernel that drew all candidates in one array: a
@@ -348,15 +374,15 @@ class TestMonteCarlo:
         ],
     )
     def test_recorded_counts(self, theta, variant, n, seed, expected):
-        assert monte_carlo_probs(theta, variant, n, seed)[0] == expected
+        assert monte_carlo_probs(theta, variant, n, seed) == expected
 
     @pytest.mark.parametrize("chunk_rows", [1, 5, 4096])
     @pytest.mark.parametrize("variant", list(Variant))
     def test_chunk_size_does_not_change_counts(self, chunk_rows, variant, monkeypatch):
         cases = [(n, seed) for n in (1, 7, 1000, 3 * statistics._CHUNK_ROWS + 1) for seed in (0, 42)]
-        expected = [monte_carlo_probs(0.3, variant, n, seed)[0] for n, seed in cases]
+        expected = [monte_carlo_probs(0.3, variant, n, seed) for n, seed in cases]
         monkeypatch.setattr(statistics, "_CHUNK_ROWS", chunk_rows)
-        assert [monte_carlo_probs(0.3, variant, n, seed)[0] for n, seed in cases] == expected
+        assert [monte_carlo_probs(0.3, variant, n, seed) for n, seed in cases] == expected
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
@@ -375,7 +401,7 @@ class TestMonteCarlo:
         # Small chunks, so n spans several of them and the last is partial.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(statistics, "_CHUNK_ROWS", chunk_rows)
-            counts = monte_carlo_probs(theta, variant, n, seed)[0]
+            counts = monte_carlo_probs(theta, variant, n, seed)
         assert counts == reference_counts(theta, variant, n, seed)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -383,7 +409,7 @@ class TestMonteCarlo:
     def test_tuple_key_is_the_seed_sequence_of_that_key(self, s, i, variant, n):
         # transmit keys bit i by (seed, i), the stream of SeedSequence((seed, i)).
         expected = reference_counts(0.7, variant, n, np.random.SeedSequence((s, i)))
-        assert monte_carlo_probs(0.7, variant, n, (s, i))[0] == expected
+        assert monte_carlo_probs(0.7, variant, n, (s, i)) == expected
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(
@@ -402,6 +428,24 @@ class TestMonteCarlo:
         # transmit's seeding of every bit at once is a second implementation of numpy's.
         expected = [np.random.default_rng((seed, i)).bit_generator.state for i in indices]
         assert list(statistics._pcg64_states(seed, indices)) == expected
+
+    @pytest.mark.parametrize(
+        "theta,variant",
+        [
+            *((theta, variant) for variant in Variant for theta in (0.3, 1.1)),
+            (0.0, Variant.DISTINGUISHABLE),  # p02 == 0
+            (np.pi / 4, Variant.IDENTICAL),  # p20 ~ 2.5e-33
+        ],
+    )
+    def test_counts_are_distributed_as_the_closed_form(self, theta, variant):
+        # The tests above pin the stream; this one checks that the stream samples the right law:
+        # over fixed seeds, the chi-squared p-values of the counts are uniform.
+        probs = closed_form_probs(theta, variant)
+        p_values = [
+            chi2_p_value(astuple(monte_carlo_probs(theta, variant, 2000, seed)), astuple(probs))
+            for seed in range(400)
+        ]
+        assert ks_distance_from_uniform(p_values) < KS_CRITICAL_400_0_05
 
     def test_memory_does_not_grow_with_n(self):
         # An array of all 2e6/0.7 candidates would take 87 MiB.
@@ -461,8 +505,8 @@ class TestSweep:
 # OS entropy, a Generator would advance the caller's, and () would give seed
 # 0's stream.
 INTEGER_SITES = {
-    "mc_n": ("n", 1, lambda v: monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, v, 1)[0]),
-    "mc_seed": ("seed", 0, lambda v: monte_carlo_probs(0.7, Variant.IDENTICAL, 50, v)[0]),
+    "mc_n": ("n", 1, lambda v: monte_carlo_probs(0.3, Variant.DISTINGUISHABLE, v, 1)),
+    "mc_seed": ("seed", 0, lambda v: monte_carlo_probs(0.7, Variant.IDENTICAL, 50, v)),
     "sweep_steps": ("steps", 2, lambda v: sweep(0.0, 1.0, v, Variant.IDENTICAL)),
     "pairs_per_bit": ("pairs_per_bit", 1, lambda v: ProtocolConfig(pairs_per_bit=v, seed=3)),
     "config_seed": ("seed", 0, lambda v: ProtocolConfig(pairs_per_bit=20, seed=v)),
