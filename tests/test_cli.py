@@ -188,7 +188,8 @@ SPECIAL_ROW = {
 SPECIAL_DOC = {"schema_version": "1", "command": "causality-scan", "parameters": {"u": [2.0, 1e300], "L": 1.0}}
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@pytest.mark.byte_identity
+@settings(max_examples=300)
 @given(cli_documents())
 @example({**SPECIAL_DOC, "rows": []})
 @example({**SPECIAL_DOC, "rows": [SPECIAL_ROW]})

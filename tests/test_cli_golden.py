@@ -18,6 +18,8 @@ import pytest
 
 from stimamp import cli
 
+pytestmark = pytest.mark.byte_identity
+
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 VARIANTS = ("distinguishable", "identical")
 FORMATS = ("json", "csv")
@@ -97,17 +99,18 @@ def run(command: str) -> tuple[str, int]:
     return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
 
 
-def load() -> dict:
+@pytest.fixture(scope="module")
+def recording() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-def test_corpus_matches_recording():
-    assert sorted(load()) == sorted(corpus())
+def test_corpus_matches_recording(recording):
+    assert sorted(recording) == sorted(corpus())
 
 
 @pytest.mark.parametrize("command", corpus())
-def test_stdout_and_exit_code(command):
-    assert list(run(command)) == load()[command]
+def test_stdout_and_exit_code(command, recording):
+    assert list(run(command)) == recording[command]
 
 
 if __name__ == "__main__":

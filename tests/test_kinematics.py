@@ -132,7 +132,7 @@ class TestRunLoop:
         assert r.handoff2.x == pytest.approx(0.5)
         assert r.arrival.x == 0.0
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @settings(max_examples=1000)
     @given(
         st.floats(0.0, 1.0 - 1e-12),
         st.floats(1e-3, 1e8),

@@ -1,8 +1,4 @@
-"""Property-based tests over the full input domains (Hypothesis).
-
-Derandomized and without an example database, so every run draws the
-same examples and the suite stays deterministic.
-"""
+"""Property-based tests over the full input domains (Hypothesis)."""
 
 import contextlib
 import io
@@ -21,14 +17,15 @@ from stimamp.kinematics import violation_threshold
 from stimamp.protocol import ProtocolConfig, reduced_density
 from stimamp.statistics import closed_form_probs, first_principles_probs, sweep
 
-DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
-
 ANGLE_LIMIT = 2.0**20
 angles = st.floats(-ANGLE_LIMIT, ANGLE_LIMIT)
 variants = st.sampled_from(Variant)
 
 
-@DETERMINISTIC
+def test_the_deterministic_profile_is_loaded():
+    assert (settings.default.derandomize, settings.default.database, settings.default.deadline) == (True, None, None)
+
+
 @given(angles, variants)
 def test_closed_form_is_a_triple_that_matches_the_oracle(theta, variant):
     closed = closed_form_probs(theta, variant).as_array()
@@ -38,7 +35,6 @@ def test_closed_form_is_a_triple_that_matches_the_oracle(theta, variant):
     assert np.max(np.abs(closed - oracle)) <= 1e-9
 
 
-@DETERMINISTIC
 @given(angles, variants)
 def test_closed_form_has_period_pi(theta, variant):
     shifted = theta - math.copysign(math.pi, theta)  # stays inside the domain
@@ -47,14 +43,12 @@ def test_closed_form_has_period_pi(theta, variant):
     assert np.max(np.abs(a - b)) <= 1e-9
 
 
-@DETERMINISTIC
 @given(angles)
 def test_reduced_density_is_maximally_mixed(theta):
     # The rounding of theta + pi/2 puts large |theta| up to ~3e-11 off I/2.
     assert np.max(np.abs(reduced_density(theta) - np.eye(2) / 2)) <= 1e-10
 
 
-@DETERMINISTIC
 @given(st.floats(allow_nan=True).filter(lambda t: not abs(t) <= ANGLE_LIMIT), variants)
 def test_angles_beyond_the_domain_are_rejected(theta, variant):
     try:
@@ -65,7 +59,6 @@ def test_angles_beyond_the_domain_are_rejected(theta, variant):
         raise AssertionError(f"accepted theta={theta!r}")
 
 
-@DETERMINISTIC
 @given(st.floats(-1e4, 1e4), st.integers(-3, 3), st.booleans(), variants)
 def test_protocol_rejects_shifted_and_mirrored_symbols(theta, k, mirror, variant):
     # theta + k pi/2 and -theta + k pi/2 have theta's |2,0> probability.
@@ -79,7 +72,6 @@ def test_protocol_rejects_shifted_and_mirrored_symbols(theta, k, mirror, variant
 grid_ends = st.one_of(angles, st.floats(-1e-300, 1e-300), st.integers(-1000, 1000).map(lambda k: k * 5e-324))
 
 
-@DETERMINISTIC
 @given(grid_ends, grid_ends, st.integers(2, 300))
 @example(0.0, 3 * 5e-324, 100)  # step = delta / 99 underflows to 0
 def test_sweep_grid_is_linspace_bit_for_bit(a, b, steps):
@@ -101,7 +93,6 @@ angle_texts = st.one_of(
 )
 
 
-@DETERMINISTIC
 @given(angle_texts)
 def test_probs_never_ends_in_a_traceback(text):
     out, err = io.StringIO(), io.StringIO()
@@ -114,7 +105,6 @@ def test_probs_never_ends_in_a_traceback(text):
     assert (out.getvalue() == "") == (code == 2)
 
 
-@DETERMINISTIC
 @given(st.floats(1.01, 1e6))
 def test_violation_threshold_matches_the_closed_form(u):
     assert abs(violation_threshold(u) - 2.0 / (u + 1.0 / u)) <= 1e-9
@@ -147,7 +137,6 @@ speeds = st.one_of(st.floats(1e-300, 1e308), st.sampled_from([0.0, -1.0, -1e-300
 formats = st.sampled_from(["csv", "json"])
 
 
-@DETERMINISTIC
 @given(sweep_ends, sweep_ends, st.integers(-3, 200), formats)
 def test_sweep_flags_give_a_document_or_a_usage_error(a, b, steps, fmt):
     for lo, hi in ((min(a, b), max(a, b)), (b, a)):
@@ -156,7 +145,6 @@ def test_sweep_flags_give_a_document_or_a_usage_error(a, b, steps, fmt):
         )
 
 
-@DETERMINISTIC
 @given(
     st.lists(speeds, min_size=1, max_size=3),
     st.one_of(st.floats(1e-300, 1.7e308), st.sampled_from([0.0, -1.0, math.nan, math.inf])),
@@ -185,7 +173,7 @@ def no_constant(name):
     raise AssertionError(f"{name} in a JSON document")
 
 
-@settings(DETERMINISTIC, max_examples=300)
+@settings(max_examples=300)
 @given(magnitudes, st.one_of(doubles, st.floats(0.0, 1.0, exclude_max=True)), magnitudes, magnitudes)
 def test_causality_flags_give_a_consistent_document_or_a_usage_error(u, beta, L, ell):
     argv = ["causality", f"--u={u!r}", f"--beta={beta!r}", f"-L={L!r}", f"--ell={ell!r}"]
@@ -212,7 +200,7 @@ def shot_counts(limit):
     return literals(st.integers(1, limit), st.integers(max_value=limit))
 
 
-@settings(DETERMINISTIC, max_examples=300)
+@settings(max_examples=300)
 @given(flag_angles, shot_counts(2000), flag_seeds, flag_variants)
 def test_mc_flags_give_a_consistent_document_or_a_usage_error(theta, n, seed, variant):
     argv = ["mc", f"--theta={theta}", f"-n={n}", f"--seed={seed}", f"--variant={variant}"]
@@ -239,7 +227,7 @@ def protocol_argvs(draw):
     return argv
 
 
-@settings(DETERMINISTIC, max_examples=300)
+@settings(max_examples=300)
 @given(protocol_argvs())
 def test_protocol_flags_give_a_consistent_document_or_a_usage_error(argv):
     code, out = assert_document_or_clean_usage_error(argv)

@@ -166,7 +166,8 @@ class TestTransmit:
         cfg = ProtocolConfig(pairs_per_bit=50, seed=9)
         assert transmit(cfg, [1, 0, 1]) == transmit(cfg, [1, 0, 1])
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @pytest.mark.byte_identity
+    @settings(max_examples=150)
     @given(
         st.lists(st.integers(0, 1), min_size=1, max_size=40),
         st.integers(0, 2**64),

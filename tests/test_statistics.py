@@ -103,6 +103,7 @@ class TestOutcomeTable:
         np.testing.assert_array_equal(branch[:, 0], total)
         np.testing.assert_array_equal(branch[:, 1], 0.0)
 
+    @pytest.mark.byte_identity
     @pytest.mark.parametrize("case", CORE_BITS, ids=lambda c: f"{c['variant']}-{c['theta']}")
     def test_recorded_bits(self, case):
         theta, variant = float.fromhex(case["theta"]), Variant(case["variant"])
@@ -152,7 +153,8 @@ def numpy_scalar_closed_forms(theta, variant):
 POW_NOT_PRODUCT = 0.006702587926433824
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@pytest.mark.byte_identity
+@settings(max_examples=500)
 @given(
     theta=st.floats(-(2.0**20), 2.0**20, allow_nan=False),
     variant=st.sampled_from(list(Variant)),
@@ -168,6 +170,7 @@ def test_closed_forms_match_numpy_scalars_bit_for_bit(theta, variant):
     assert float.hex(differential_sigma_20(theta)) == float.hex(float(sigma))
 
 
+@pytest.mark.byte_identity
 def test_squares_are_pow_not_a_product():
     c = np.cos(2.0 * POW_NOT_PRODUCT)
     assert 2.0 * (c * c) / 3.0 != 2.0 * c**2 / 3.0
@@ -215,7 +218,8 @@ def bits(*values):
     return [(np.shape(v), np.asarray(v).dtype, [float(x).hex() for x in np.ravel(v)]) for v in values]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@pytest.mark.byte_identity
+@settings(max_examples=500)
 @given(theta=st.floats(-(2.0**20), 2.0**20, allow_nan=False))
 @example(theta=0.0)
 @example(theta=2.0**20)
@@ -384,7 +388,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(statistics, "_CHUNK_ROWS", chunk_rows)
         assert [monte_carlo_probs(0.3, variant, n, seed) for n, seed in cases] == expected
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(
         st.floats(-(2.0**20), 2.0**20),
         st.sampled_from(Variant),
@@ -404,14 +408,15 @@ class TestMonteCarlo:
             counts = monte_carlo_probs(theta, variant, n, seed)
         assert counts == reference_counts(theta, variant, n, seed)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @settings(max_examples=50)
     @given(st.integers(0, 2**200), st.integers(0, 10**6), st.sampled_from(Variant), st.integers(1, 200))
     def test_tuple_key_is_the_seed_sequence_of_that_key(self, s, i, variant, n):
         # transmit keys bit i by (seed, i), the stream of SeedSequence((seed, i)).
         expected = reference_counts(0.7, variant, n, np.random.SeedSequence((s, i)))
         assert monte_carlo_probs(0.7, variant, n, (s, i)) == expected
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @pytest.mark.byte_identity
+    @settings(max_examples=200)
     @given(
         st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**200)),
         st.lists(st.one_of(st.integers(0, 2**20), st.sampled_from(WIDE_INDICES)), min_size=1, max_size=20),
@@ -547,6 +552,7 @@ def test_integer_rule_rejects(site, value):
         call(value)
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize(
     "site,value",
     [site_param(site, value) for site, values in NUMPY_INTEGERS.items() for value in values],
