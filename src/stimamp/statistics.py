@@ -71,7 +71,7 @@ def differential_sigma_20(theta: float) -> float:
     Units of lambda^2 dOmega, averaged over the orthogonal-pair mixture.
     """
     _check_angle(theta)
-    return 0.5 * (1.0 + math.cos(2.0 * theta) ** 2)
+    return _closed_form_row(theta, Variant.DISTINGUISHABLE)[3]  # either variant's sigma20
 
 
 def _check_angle(theta: float) -> None:
@@ -95,12 +95,17 @@ def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     """Closed-form outcome triple for the orthogonal-pair mixture."""
     _check_variant(variant)
     _check_angle(theta)
+    return ProbabilityTriple(*_closed_form_row(theta, variant)[:3])
+
+
+def _closed_form_row(theta: float, variant: Variant):
+    """(p20, p11, p02, sigma20) at theta, unchecked: the one home of the closed forms."""
     # math on Python floats gives numpy's scalar doubles; ** 2 is C pow, and x*x can differ.
     c2 = math.cos(2.0 * theta) ** 2
     s2 = math.sin(2.0 * theta) ** 2
     if variant is Variant.DISTINGUISHABLE:
-        return ProbabilityTriple((1.0 + c2) / 3.0, 1.0 / 3.0, s2 / 3.0)
-    return ProbabilityTriple(2.0 * c2 / 3.0, 1.0 / 3.0, 2.0 * s2 / 3.0)
+        return (1.0 + c2) / 3.0, 1.0 / 3.0, s2 / 3.0, 0.5 * (1.0 + c2)
+    return 2.0 * c2 / 3.0, 1.0 / 3.0, 2.0 * s2 / 3.0, 0.5 * (1.0 + c2)
 
 
 def outcome_table(theta: float, variant: Variant):
@@ -265,11 +270,12 @@ def monte_carlo_probs(
 
 
 def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
-    """Uniform angle grid of closed-form triples and differential rates.
+    """Uniform angle grid of closed-form probabilities and differential rates.
 
-    Checks its arguments at the call and returns an iterator of
-    (theta, ProbabilityTriple, sigma20) rows, endpoints inclusive, ordered
-    by theta, each computed as it is read.
+    Checks its arguments at the call and returns an iterator of flat float
+    rows (theta, p20, p11, p02, sigma20), endpoints inclusive, ordered by
+    theta, each computed as it is read.  Interior angles lie between the
+    checked ends, so rows are not checked again.
     """
     _check_int("steps", steps, 2)
     for theta in (theta_min, theta_max):  # bounded ends keep the grid finite; checks the variant too
@@ -281,7 +287,5 @@ def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
     delta, div = theta_max - theta_min, steps - 1
     step = delta / div
     grid = (i * step + theta_min if step else i / div * delta + theta_min for i in range(div))
-    return (
-        (float(theta), closed_form_probs(theta, variant), differential_sigma_20(theta))
-        for theta in itertools.chain(grid, [theta_max])
-    )
+    thetas = map(float, itertools.chain(grid, [theta_max]))
+    return ((theta, *_closed_form_row(theta, variant)) for theta in thetas)

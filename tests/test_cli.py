@@ -325,12 +325,26 @@ class TestSchema:
         (np.int64(3), "3"),
         (0.1, "0.10000000000000001"),
         (np.float64(0.1), "0.10000000000000001"),
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
         ("identical", "identical"),
     ],
 )
 def test_csv_cell_format(value, cell):
     # _fmt tests float before bool: a bool is an int, never a float.
     assert cli._fmt(value) == cell
+
+
+@pytest.mark.byte_identity
+@settings(max_examples=500)
+@given(st.floats())  # NaN payloads, the infinities and subnormals included
+@example(-math.nan)
+@example(-5e-324)
+@example(np.float64(-1e-310))
+def test_csv_float_cell_is_format_17g(value):
+    assert cli._fmt(value) == format(value, ".17g")
 
 
 def test_main_callable_in_process(capsys):

@@ -77,7 +77,7 @@ grid_ends = st.one_of(angles, st.floats(-1e-300, 1e-300), st.integers(-1000, 100
 def test_sweep_grid_is_linspace_bit_for_bit(a, b, steps):
     assume(a != b)
     lo, hi = min(a, b), max(a, b)
-    grid = [theta.hex() for theta, _, _ in sweep(lo, hi, steps, Variant.DISTINGUISHABLE)]
+    grid = [theta.hex() for theta, *_ in sweep(lo, hi, steps, Variant.DISTINGUISHABLE)]
     assert grid == [float(theta).hex() for theta in np.linspace(lo, hi, steps)]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stimamp import statistics
@@ -468,15 +468,38 @@ class TestSweep:
         rows = list(sweep(0.0, np.pi / 2, 3, Variant.DISTINGUISHABLE))
         thetas = [r[0] for r in rows]
         np.testing.assert_allclose(thetas, [0.0, np.pi / 4, np.pi / 2], atol=1e-12)
-        np.testing.assert_allclose([r[1].p20 for r in rows], [2 / 3, 1 / 3, 2 / 3], atol=1e-12)
+        np.testing.assert_allclose([r[1] for r in rows], [2 / 3, 1 / 3, 2 / 3], atol=1e-12)
 
     def test_two_steps_gives_endpoints(self):
         rows = sweep(0.0, 1.0, 2, Variant.IDENTICAL)
         assert [r[0] for r in rows] == [0.0, 1.0]
 
-    def test_rows_normalized(self):
-        for _, triple, _ in sweep(-1.0, 4.0, 57, Variant.IDENTICAL):
-            assert triple.p20 + triple.p11 + triple.p02 == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.byte_identity
+    @given(
+        st.floats(-ANGLE_LIMIT, ANGLE_LIMIT),
+        st.floats(-ANGLE_LIMIT, ANGLE_LIMIT),
+        st.integers(2, 300),
+        st.sampled_from(list(Variant)),
+    )
+    @example(-1.0, 4.0, 57, Variant.IDENTICAL)
+    @example(-ANGLE_LIMIT, ANGLE_LIMIT, 300, Variant.DISTINGUISHABLE)
+    def test_rows_normalized(self, a, b, steps, variant):
+        # sweep checks only its ends; every row is the checked closed forms at its angle, bit for bit.
+        assume(a != b)
+        for theta, p20, p11, p02, sigma in sweep(min(a, b), max(a, b), steps, variant):
+            want = (*astuple(closed_form_probs(theta, variant)), differential_sigma_20(theta))
+            assert [x.hex() for x in (p20, p11, p02, sigma)] == [x.hex() for x in want]
+            assert p20 + p11 + p02 == pytest.approx(1.0, abs=1e-12)
+            ProbabilityTriple(p20, p11, p02)
+
+    @pytest.mark.parametrize("steps", [3, 10001])
+    def test_no_probability_triple_per_row(self, steps, monkeypatch):
+        # Only the two end checks build triples; the rows are flat floats.
+        calls = []
+        check = ProbabilityTriple.__post_init__
+        monkeypatch.setattr(ProbabilityTriple, "__post_init__", lambda self: calls.append(self) or check(self))
+        assert len(list(sweep(0.0, 1.0, steps, Variant.IDENTICAL))) == steps
+        assert len(calls) == 2
 
     def test_grid_memory_does_not_grow_with_steps(self):
         # np.linspace would hold all 1e7 angles: 76 MiB.
