@@ -7,6 +7,8 @@ mixture of orthogonal inputs, the conditional outcome probabilities over
 matrix does not -- that dependence is the whole story.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 
 from stimamp.amplifier import Variant
@@ -20,7 +22,7 @@ for variant in Variant:
     for label, theta in angles.items():
         closed = closed_form_probs(theta, variant)
         oracle = first_principles_probs(theta, variant)
-        gap = np.max(np.abs(closed.as_array() - oracle.as_array()))
+        gap = np.max(np.abs(np.subtract(astuple(closed), astuple(oracle))))
         print(
             f"{label:>6} {closed.p20:8.4f} {closed.p11:8.4f} {closed.p02:8.4f}"
             f" {gap:11.1e} {differential_sigma_20(theta):8.4f}"

@@ -66,10 +66,11 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
 
     Each bit burns pairs_per_bit EPR pairs at its symbol angle, sampled
     from that symbol's thresholds, built once per call.  Bit i draws from
-    default_rng((seed, i))'s stream: the states of all bits' streams are
-    computed together and loaded, one bit at a time, into one reused
-    generator.  The decoder thresholds the estimated |2,0> probability at
-    the midpoint of the two symbols' closed-form values, ties decoding to 0.
+    default_rng((seed, i))'s stream: the states of the streams of bits
+    0 ... len(bits) - 1 are computed together, in blocks of 1024, and
+    loaded, one bit at a time, into one reused generator.  The decoder
+    thresholds the estimated |2,0> probability at the midpoint of the two
+    symbols' closed-form values, ties decoding to 0.
     """
     bits = tuple(bits)
     if not bits:
@@ -84,7 +85,7 @@ def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
     rng = np.random.default_rng(0)  # each bit loads its own state first
     decoded = []
     estimates = []
-    for i, (bit, state) in enumerate(zip(bits, _pcg64_states(config.seed, range(len(bits))))):
+    for i, (bit, state) in enumerate(zip(bits, _pcg64_states(config.seed, len(bits)))):
         theta, tables = symbols[bit]
         # Deterministic per-bit substream, keyed (seed, i); bits may be simulated in parallel.
         rng.bit_generator.state = state

@@ -43,9 +43,6 @@ class ProbabilityTriple:
         if not (abs(total - 1.0) < 1e-9 and min(self.p20, self.p11, self.p02) > -ATOL_EXACT):
             raise ValueError(f"not a probability triple: {self}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p20, self.p11, self.p02])
-
 
 @dataclass(frozen=True)
 class CountTriple:
@@ -177,21 +174,19 @@ def _seed_mix(x, y):
     return result ^ result >> 16
 
 
-def _pcg64_states(seed: int, indices):
-    """default_rng((seed, i)).bit_generator.state for each i of the sequence indices, in order.
+def _pcg64_states(seed: int, count: int):
+    """default_rng((seed, i)).bit_generator.state for bits i = 0 ... count - 1, in order.
 
     Runs numpy's SeedSequence over the entropy words of (seed, i) for a
-    block of indices at once, in uint32 arrays: the pool of 4, its mix, and
-    generate_state(4, np.uint64).  PCG64's srandom step then runs in Python
-    ints.  An index >= 2**32, two entropy words, takes default_rng itself.
-    Yields each state as it is read, so memory holds one block's words, not
-    a state per index.
+    block of 1024 bits at once, in uint32 arrays: the pool of 4, its mix,
+    and generate_state(4, np.uint64).  PCG64's srandom step then runs in
+    Python ints.  Yields each state as it is read, so memory holds one
+    block's words, not a state per bit.
     """
     seed = int(seed)
     seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    for start in range(0, len(indices), _SEED_BLOCK):
-        block = indices[start : start + _SEED_BLOCK]
-        low = np.array(block, dtype=np.uint64).astype(np.uint32)  # wide indices wrap; they are not read
+    for start in range(0, count, _SEED_BLOCK):
+        low = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint32)
         entropy = [np.full_like(low, word) for word in seed_words] + [low]
         hashmix = _seed_hasher(_INIT_A, _MULT_A)
         pool = [hashmix(entropy[j] if j < len(entropy) else np.zeros_like(low)) for j in range(4)]
@@ -206,10 +201,7 @@ def _pcg64_states(seed: int, indices):
         hashout = _seed_hasher(_INIT_B, _MULT_B)
         words = [hashout(pool[t % 4]).astype(np.uint64) for t in range(8)]
         halves = [(words[k] | words[k + 1] << 32).tolist() for k in range(0, 8, 2)]
-        for i, state_hi, state_lo, seq_hi, seq_lo in zip(block, *halves):
-            if i > _MASK32:
-                yield np.random.default_rng((seed, i)).bit_generator.state
-                continue
+        for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
             # pcg64_srandom: inc = 2 * initseq + 1; state = (inc + initstate) * MULT + inc, mod 2**128.
             inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
             state = ((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc & _MASK128

@@ -7,6 +7,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 import json
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -53,8 +54,8 @@ def test_criterion_1_closed_form_reproduction():
     failures = []
     for variant, table in expected.items():
         for theta, values in table.items():
-            got = closed_form_probs(theta, variant).as_array()
-            within(failures, np.max(np.abs(got - np.array(values))), 1e-12, "closed form", theta, variant)
+            got = astuple(closed_form_probs(theta, variant))
+            within(failures, np.max(np.abs(np.subtract(got, values))), 1e-12, "closed form", theta, variant)
     report(1, "closed forms at the five reference angles, both variants, 1e-12", failures)
 
 
@@ -62,8 +63,8 @@ def test_criterion_2_oracle_equivalence():
     failures = []
     for theta in RNG.uniform(-2 * np.pi, 2 * np.pi, 1000):
         for variant in Variant:
-            diff = first_principles_probs(theta, variant).as_array() - closed_form_probs(theta, variant).as_array()
-            within(failures, np.max(np.abs(diff)), 1e-12, "oracle", theta, variant)
+            oracle, closed = astuple(first_principles_probs(theta, variant)), astuple(closed_form_probs(theta, variant))
+            within(failures, np.max(np.abs(np.subtract(oracle, closed))), 1e-12, "oracle", theta, variant)
         p20 = closed_form_probs(theta, Variant.DISTINGUISHABLE).p20
         within(failures, abs(p20 - differential_sigma_20(theta) / 1.5), 1e-12, "differential rate", theta)
     report(2, "projection oracle equals closed forms; differential rate consistent", failures)
@@ -90,8 +91,8 @@ def test_criterion_4_monte_carlo_convergence():
             again = monte_carlo_probs(theta, variant, 10**6, 2026)
             est = counts.estimates()
             check(failures, counts == again, "seeded determinism", theta, variant, counts, again)
-            ref = closed_form_probs(theta, variant).as_array()
-            within(failures, np.max(np.abs(est.as_array() - ref)), 3e-3, "convergence", theta, variant)
+            ref = astuple(closed_form_probs(theta, variant))
+            within(failures, np.max(np.abs(np.subtract(astuple(est), ref))), 3e-3, "convergence", theta, variant)
     report(4, "n=1e6 Monte Carlo within 3e-3 of closed forms; seeded determinism", failures)
 
 

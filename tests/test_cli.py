@@ -579,3 +579,14 @@ def test_angle_error_names_theta(command):
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"error: theta must satisfy |theta| <= 2**20"), proc.stderr
     assert b"Warning" not in proc.stderr
+
+
+def test_readme_examples_run(tmp_path):
+    # Every `stimamp` line of the README's CLI section runs as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("stimamp ")]
+    assert len(lines) == 7
+    for k, line in enumerate(lines):
+        out = tmp_path / f"example{k}"
+        assert main([*shlex.split(line)[1:], "--out", str(out)]) == 0, line
+        assert out.stat().st_size > 0, line

@@ -177,6 +177,9 @@ class TestTransmit:
     )
     @example([1, 0, 1], 3, 20000, Variant.IDENTICAL, (0.0, np.pi / 4))  # a bit spans two _CHUNK_ROWS chunks
     @example([0, 1, 1, 0], 7, 37, Variant.DISTINGUISHABLE, MIRRORED_MIDPOINT_SYMBOLS)
+    @example(  # three seeding blocks, the last partial
+        [i % 2 for i in range(2 * statistics._SEED_BLOCK + 3)], 5, 3, Variant.DISTINGUISHABLE, (0.0, np.pi / 4)
+    )
     def test_estimates_equal_per_bit_kernel_calls(self, bits, seed, pairs, variant, symbols):
         # The thresholds built once per transmit give each bit's own kernel call's doubles.
         cfg = ProtocolConfig(pairs, *symbols, variant, seed)

@@ -65,20 +65,20 @@ def test_differential_sigma(theta, expected):
     ],
 )
 def test_closed_forms(theta, variant, expected):
-    np.testing.assert_allclose(closed_form_probs(theta, variant).as_array(), expected, atol=1e-12)
+    np.testing.assert_allclose(astuple(closed_form_probs(theta, variant)), expected, atol=1e-12)
 
 
 def test_first_principles_matches_closed_forms():
     np.testing.assert_allclose(
-        first_principles_probs(0.0, Variant.DISTINGUISHABLE).as_array(),
+        astuple(first_principles_probs(0.0, Variant.DISTINGUISHABLE)),
         [2 / 3, 1 / 3, 0.0],
         atol=1e-12,
     )
     for theta in RNG.uniform(-5, 5, 1000):
         for variant in Variant:
             np.testing.assert_allclose(
-                first_principles_probs(theta, variant).as_array(),
-                closed_form_probs(theta, variant).as_array(),
+                astuple(first_principles_probs(theta, variant)),
+                astuple(closed_form_probs(theta, variant)),
                 atol=1e-12,
             )
 
@@ -108,7 +108,7 @@ class TestOutcomeTable:
     def test_recorded_bits(self, case):
         theta, variant = float.fromhex(case["theta"]), Variant(case["variant"])
         arrays = dict(zip(("inputs", "total", "branch", "proj"), outcome_table(theta, variant)))
-        arrays["probs"] = first_principles_probs(theta, variant).as_array()
+        arrays["probs"] = astuple(first_principles_probs(theta, variant))
         for name, value in arrays.items():
             assert [float(x).hex() for x in np.ravel(value)] == case[name], name
 
@@ -309,10 +309,6 @@ def reference_counts(theta, variant, n, seed):
     return CountTriple(*counts)
 
 
-# Bit indices of one entropy word and, from 2**32, of two, which _pcg64_states
-# leaves to default_rng itself.
-WIDE_INDICES = [0, 2**32 - 1, 2**32, 2**33 + 5]
-
 # The Kolmogorov-Smirnov distance from uniform that 400 p-values exceed with probability 5%.
 KS_CRITICAL_400_0_05 = 0.068
 
@@ -359,7 +355,7 @@ class TestMonteCarlo:
     def test_converges_to_closed_forms(self, theta, variant):
         est = monte_carlo_probs(theta, variant, 10**6, 42).estimates()
         ref = closed_form_probs(theta, variant)
-        assert np.max(np.abs(est.as_array() - ref.as_array())) < 3e-3
+        assert np.max(np.abs(np.subtract(astuple(est), astuple(ref)))) < 3e-3
 
     def test_zero_probability_outcome_never_drawn(self):
         counts = monte_carlo_probs(np.pi / 4, Variant.IDENTICAL, 10**5, 9)
@@ -419,20 +415,20 @@ class TestMonteCarlo:
     @settings(max_examples=200)
     @given(
         st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**200)),
-        st.lists(st.one_of(st.integers(0, 2**20), st.sampled_from(WIDE_INDICES)), min_size=1, max_size=20),
+        st.integers(1, 40),
     )
-    @example(0, WIDE_INDICES)
-    @example(3, WIDE_INDICES)
-    @example(2**32 - 1, WIDE_INDICES)
-    @example(2**32, WIDE_INDICES)
-    @example(2**64 - 1, WIDE_INDICES)
-    @example(12345678901234567890, WIDE_INDICES)
-    @example(2**130 + 7, WIDE_INDICES)
-    @example(5, range(2 * statistics._SEED_BLOCK + 3))  # three blocks, the last partial
-    def test_seeding_equals_numpys(self, seed, indices):
+    @example(0, 5)
+    @example(3, 5)
+    @example(2**32 - 1, 5)
+    @example(2**32, 5)
+    @example(2**64 - 1, 5)
+    @example(12345678901234567890, 5)
+    @example(2**130 + 7, 5)
+    @example(5, 2 * statistics._SEED_BLOCK + 3)  # three blocks, the last partial
+    def test_seeding_equals_numpys(self, seed, count):
         # transmit's seeding of every bit at once is a second implementation of numpy's.
-        expected = [np.random.default_rng((seed, i)).bit_generator.state for i in indices]
-        assert list(statistics._pcg64_states(seed, indices)) == expected
+        expected = [np.random.default_rng((seed, i)).bit_generator.state for i in range(count)]
+        assert list(statistics._pcg64_states(seed, count)) == expected
 
     @pytest.mark.parametrize(
         "theta,variant",
