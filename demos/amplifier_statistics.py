@@ -11,8 +11,8 @@ from dataclasses import astuple
 
 import numpy as np
 
-from stimamp.amplifier import Variant
-from stimamp.statistics import closed_form_probs, differential_sigma_20, first_principles_probs, monte_carlo_probs
+from stimamp.closed_form import Variant, closed_form_probs, differential_sigma_20
+from stimamp.statistics import first_principles_probs, monte_carlo_probs
 
 angles = {"0": 0.0, "pi/8": np.pi / 8, "pi/4": np.pi / 4, "3pi/8": 3 * np.pi / 8}
 

@@ -8,7 +8,7 @@ exactly the model's departure from density-matrix linearity.
 
 import numpy as np
 
-from stimamp.amplifier import Variant
+from stimamp.closed_form import Variant
 from stimamp.protocol import ProtocolConfig, linearity_gap, reduced_density, transmit
 
 bits = [0, 1, 1, 0, 1, 0, 0, 1]

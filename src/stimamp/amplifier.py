@@ -11,24 +11,13 @@ lambda^2 dOmega factored out; lambda_squared carries the physical units.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import Variant, _check_variant
 from .fock import E11, E20, apply_rotation, two_photon_rotation
-
-
-class Variant(enum.Enum):
-    DISTINGUISHABLE = "distinguishable"
-    IDENTICAL = "identical"
-
-
-def _check_variant(variant) -> None:
-    """Reject anything but a Variant member, a string such as "identical" included."""
-    if not isinstance(variant, Variant):
-        raise ValueError(f"variant must be a Variant, got {variant!r}")
 
 
 @dataclass(frozen=True)

@@ -17,16 +17,10 @@ import re
 import sys
 from dataclasses import asdict
 
-from .amplifier import Variant
+from .closed_form import Variant, closed_form_probs, differential_sigma_20, sweep
 from .kinematics import LoopConfig, run_loop, violation_threshold
 from .protocol import ProtocolConfig, linearity_gap, transmit
-from .statistics import (
-    closed_form_probs,
-    differential_sigma_20,
-    first_principles_probs,
-    monte_carlo_probs,
-    sweep,
-)
+from .statistics import first_principles_probs, monte_carlo_probs
 
 SCHEMA_VERSION = "1"
 

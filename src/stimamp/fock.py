@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-# Tolerances: exact linear-algebra identities vs input validation.
-ATOL_EXACT = 1e-12
+# Tolerance of input validation: how far from orthogonal a matrix may be.
 ATOL_INPUT = 1e-9
 
 # Dipole-frame two-photon basis vectors.

@@ -16,17 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifier import Variant
-from .fock import ATOL_EXACT, single_photon_state
-from .statistics import (
-    _check_angle,
-    _check_int,
-    _is_int,
-    _pcg64_states,
-    _sampling_thresholds,
-    closed_form_probs,
-    monte_carlo_probs,
-)
+from .closed_form import ATOL_EXACT, Variant, _check_angle, _check_int, _is_int, closed_form_probs
+from .fock import single_photon_state
+from .statistics import _pcg64_states, _sampling_thresholds, monte_carlo_probs
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,24 @@
-"""Mixture-averaged two-photon outcome statistics.
+"""Mixture-averaged two-photon outcome statistics from the amplitudes.
 
 The input ensemble is the 50/50 mixture of |theta> and |theta + pi/2>.
 Outcome probabilities over the dipole-frame basis (|2,0>, |1,1>, |0,2>),
-conditioned on a two-photon event, come three ways: closed forms, a
-first-principles projection pipeline (the oracle, no closed forms), and
-seeded Monte Carlo.
+conditioned on a two-photon event, come from a first-principles
+projection pipeline (the oracle, no closed forms) and from seeded Monte
+Carlo; the closed forms they are checked against live in closed_form.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplifier import Variant, _check_variant, scatter
-from .fock import ATOL_EXACT, projection_triple
+from .amplifier import scatter
+from .closed_form import ProbabilityTriple, Variant, _check_angle, _check_int
+# perfbench/tracing.py finds these two trace sites as statistics attributes;
+# the line goes once the tracer names sites by their defining module (ROADMAP item 1a).
+from .closed_form import closed_form_probs, sweep  # noqa: F401
+from .fock import projection_triple
 
 # Candidate rows per Monte Carlo chunk: 16384 x 4 doubles is 512 KiB.
 _CHUNK_ROWS = 16384
@@ -28,20 +30,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 # Streams seeded per vectorized pass; a block's words wait as ~180 B of Python ints per stream.
 _SEED_BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class ProbabilityTriple:
-    """Probabilities of (|2,0>, |1,1>, |0,2>) given a two-photon outcome."""
-
-    p20: float
-    p11: float
-    p02: float
-
-    def __post_init__(self):
-        total = self.p20 + self.p11 + self.p02
-        if not (abs(total - 1.0) < 1e-9 and min(self.p20, self.p11, self.p02) > -ATOL_EXACT):
-            raise ValueError(f"not a probability triple: {self}")
 
 
 @dataclass(frozen=True)
@@ -60,49 +48,6 @@ class CountTriple:
         if self.total <= 0:
             raise ValueError("no counts to estimate from")
         return ProbabilityTriple(self.n20 / self.total, self.n11 / self.total, self.n02 / self.total)
-
-
-def differential_sigma_20(theta: float) -> float:
-    """Differential rate of the |2,0> outcome, (1 + cos^2 2theta)/2.
-
-    Units of lambda^2 dOmega, averaged over the orthogonal-pair mixture.
-    """
-    _check_angle(theta)
-    return _closed_form_row(theta, Variant.DISTINGUISHABLE)[3]  # either variant's sigma20
-
-
-def _check_angle(theta: float) -> None:
-    """Reject NaN and |theta| > 2^20, where theta + pi/2 rounds off orthogonality."""
-    if not abs(theta) <= 2.0**20:
-        raise ValueError(f"theta must satisfy |theta| <= 2**20 (period pi), got {float(theta)}")
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; a bool is not one, though bool subclasses int."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    """Reject anything but a Python or numpy integer >= minimum."""
-    if not _is_int(value) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}")
-
-
-def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
-    """Closed-form outcome triple for the orthogonal-pair mixture."""
-    _check_variant(variant)
-    _check_angle(theta)
-    return ProbabilityTriple(*_closed_form_row(theta, variant)[:3])
-
-
-def _closed_form_row(theta: float, variant: Variant):
-    """(p20, p11, p02, sigma20) at theta, unchecked: the one home of the closed forms."""
-    # math on Python floats gives numpy's scalar doubles; ** 2 is C pow, and x*x can differ.
-    c2 = math.cos(2.0 * theta) ** 2
-    s2 = math.sin(2.0 * theta) ** 2
-    if variant is Variant.DISTINGUISHABLE:
-        return (1.0 + c2) / 3.0, 1.0 / 3.0, s2 / 3.0, 0.5 * (1.0 + c2)
-    return 2.0 * c2 / 3.0, 1.0 / 3.0, 2.0 * s2 / 3.0, 0.5 * (1.0 + c2)
 
 
 def outcome_table(theta: float, variant: Variant):
@@ -259,25 +204,3 @@ def monte_carlo_probs(
         n20, n11, n02 = n20 + len(kept) - above_lo, n11 + above_lo - above_hi, n02 + above_hi
         remaining -= len(kept)
     return CountTriple(n20, n11, n02)
-
-
-def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
-    """Uniform angle grid of closed-form probabilities and differential rates.
-
-    Checks its arguments at the call and returns an iterator of flat float
-    rows (theta, p20, p11, p02, sigma20), endpoints inclusive, ordered by
-    theta, each computed as it is read.  Interior angles lie between the
-    checked ends, so rows are not checked again.
-    """
-    _check_int("steps", steps, 2)
-    for theta in (theta_min, theta_max):  # bounded ends keep the grid finite; checks the variant too
-        closed_form_probs(theta, variant)
-    if not theta_min < theta_max:
-        raise ValueError("theta_min must be < theta_max")
-    # np.linspace's values, one at a time: i * step + theta_min, or
-    # i / div * delta + theta_min where step underflows to 0, then theta_max.
-    delta, div = theta_max - theta_min, steps - 1
-    step = delta / div
-    grid = (i * step + theta_min if step else i / div * delta + theta_min for i in range(div))
-    thetas = map(float, itertools.chain(grid, [theta_max]))
-    return ((theta, *_closed_form_row(theta, variant)) for theta in thetas)

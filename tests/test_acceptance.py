@@ -11,11 +11,11 @@ from dataclasses import astuple
 
 import numpy as np
 
-from stimamp.amplifier import Variant
+from stimamp.closed_form import Variant, closed_form_probs, differential_sigma_20
 from stimamp.fock import rotation2, symmetric_lift, two_photon_rotation
 from stimamp.kinematics import Event, LoopConfig, boost, run_loop, violation_threshold
 from stimamp.protocol import ProtocolConfig, linearity_gap, reduced_density, transmit
-from stimamp.statistics import closed_form_probs, differential_sigma_20, first_principles_probs, monte_carlo_probs
+from stimamp.statistics import first_principles_probs, monte_carlo_probs
 
 RNG = np.random.default_rng(42)
 

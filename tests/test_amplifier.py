@@ -3,11 +3,11 @@ import pytest
 
 from stimamp.amplifier import (
     EmissionConstants,
-    Variant,
     branch_weights,
     lambda_squared,
     scatter,
 )
+from stimamp.closed_form import Variant
 from stimamp.fock import E20, projection_triple
 
 RNG = np.random.default_rng(7)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from stimamp import cli
 from stimamp.cli import build_parser, main, parse_angle
-from stimamp.statistics import ProbabilityTriple
+from stimamp.closed_form import ProbabilityTriple
 
 try:
     import jsonschema

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stimamp.amplifier import Variant, scatter
+from stimamp.amplifier import scatter
+from stimamp.closed_form import Variant
 from stimamp.fock import (
     E02,
     E11,

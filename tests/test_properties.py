@@ -11,12 +11,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stimamp.amplifier import Variant
 from stimamp.cli import main
-from stimamp.fock import ATOL_EXACT
+from stimamp.closed_form import ATOL_EXACT, Variant, closed_form_probs, sweep
 from stimamp.kinematics import violation_threshold
 from stimamp.protocol import ProtocolConfig, reduced_density
-from stimamp.statistics import closed_form_probs, first_principles_probs, sweep
+from stimamp.statistics import first_principles_probs
 
 ANGLE_LIMIT = 2.0**20
 angles = st.floats(-ANGLE_LIMIT, ANGLE_LIMIT)

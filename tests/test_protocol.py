@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stimamp import protocol, statistics
-from stimamp.amplifier import Variant
+from stimamp.closed_form import ProbabilityTriple, Variant, closed_form_probs
 from stimamp.protocol import (
     ProtocolConfig,
     linearity_gap,
     reduced_density,
     transmit,
 )
-from stimamp.statistics import CountTriple, ProbabilityTriple, closed_form_probs, monte_carlo_probs
+from stimamp.statistics import CountTriple, monte_carlo_probs
 
 RNG = np.random.default_rng(11)
 

@@ -1,3 +1,4 @@
+import fractions
 import json
 import math
 import tracemalloc
@@ -10,19 +11,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stimamp import statistics
-from stimamp.amplifier import Variant, branch_weights, scatter
+from stimamp.amplifier import branch_weights, scatter
+from stimamp.closed_form import ProbabilityTriple, Variant, closed_form_probs, differential_sigma_20, sweep
 from stimamp.fock import E11, E20, apply_rotation, projection_triple, two_photon_rotation
 from stimamp.protocol import ProtocolConfig, transmit
-from stimamp.statistics import (
-    CountTriple,
-    ProbabilityTriple,
-    closed_form_probs,
-    differential_sigma_20,
-    first_principles_probs,
-    monte_carlo_probs,
-    outcome_table,
-    sweep,
-)
+from stimamp.statistics import CountTriple, first_principles_probs, monte_carlo_probs, outcome_table
 
 RNG = np.random.default_rng(31)
 
@@ -535,7 +528,7 @@ INTEGER_SITES = {
     "pairs_per_bit": ("pairs_per_bit", 1, lambda v: ProtocolConfig(pairs_per_bit=v, seed=3)),
     "config_seed": ("seed", 0, lambda v: ProtocolConfig(pairs_per_bit=20, seed=v)),
 }
-NOT_INTEGERS = [2.5, 1e3, np.float64(7.0), "10", None, True, False]
+NOT_INTEGERS = [2.5, 1e3, np.float64(7.0), "10", None, True, False, np.True_, fractions.Fraction(5)]
 SITE_NOT_INTEGERS = {
     "mc_seed": [np.random.default_rng(1), (), (1, -1), (1, True)],
     "sweep_steps": [5.0, np.float64(5.0), "5"],
