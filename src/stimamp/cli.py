@@ -24,8 +24,8 @@ from .statistics import first_principles_probs, monte_carlo_probs
 
 SCHEMA_VERSION = "1"
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-_encode_json_str = json.encoder.encode_basestring_ascii  # json.dumps's string encoder
+# A row's items as json.dumps(doc, indent=2) writes them at the depth of doc["rows"].
+_encode_row = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*pi(?:\s*/\s*(\d+\.?\d*))?$", re.IGNORECASE)
 
@@ -68,43 +68,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_scalar(value) -> str:
-    """A row cell as json.dumps encodes it; TypeError for a list, dict or other value."""
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return float.__repr__(value)
-        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-    if isinstance(value, str):
-        return _encode_json_str(value)
-    if value is None or isinstance(value, bool):
-        return _JSON_CONSTANTS[value]
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"not a JSON scalar: {value!r}")
-
-
-def _json_row_template(keys: tuple) -> str:
-    """A %-template of one row at the depth of doc["rows"], one %s per value."""
-    fields = ",".join(f"\n      {_encode_json_str(key).replace('%', '%%')}: %s" for key in keys)
-    return "{" + fields + "\n    }" if keys else "{}"
-
-
 def _write_json(doc: dict, out) -> None:
-    """Write json.dumps(doc, indent=2) and a newline, one row at a time; "rows" must be doc's last key.
-
-    Every row fills the template of the first row's keys, so rows must
-    keep emit's row contract; a cell that is not a JSON scalar raises TypeError.
-    """
+    """Write json.dumps(doc, indent=2) and a newline, one row at a time; "rows" must be doc's last key."""
     head = json.dumps({**doc, "rows": []}, indent=2)
     out.write(head[: -len("]\n}")])  # up to the rows' "["
-    template = None
-    separator = "\n    "
+    separator, tail = "\n    ", "]\n}\n"
     for row in doc["rows"]:
-        if template is None:
-            template = _json_row_template(tuple(row))
-        out.write(separator + template % tuple(map(_json_scalar, row.values())))
-        separator = ",\n    "
-    out.write("]\n}\n" if template is None else "\n  ]\n}\n")
+        out.write(separator + ("{\n      " + _encode_row(row)[1:-1] + "\n    }" if row else "{}"))
+        separator, tail = ",\n    ", "\n  ]\n}\n"
+    out.write(tail)
 
 
 def render(doc: dict, fmt: str, out) -> None:
@@ -129,8 +101,9 @@ def emit(args, rows, summary: dict | None = None) -> int:
     The parameters are the command's own flags in parser order, a Variant
     by its value.  Both formats read rows once, as they write, so rows
     that can raise a usage error must come as a list.  Each row is a flat
-    dict with the first row's str keys, in the same order; each cell is a
-    float (np.float64 included), int, bool, None or str.
+    dict of str keys, and each cell is a float (np.float64 included), int,
+    bool, None or str.  CSV's header takes the first row's keys, so every
+    row has those keys in that order; JSON encodes each row by itself.
     """
     parameters = {
         key: value.value if isinstance(value, Variant) else value

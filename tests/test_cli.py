@@ -168,7 +168,7 @@ def cli_documents(draw):
 
 
 # Every kind of cell json.dumps spells its own way, a float subclass as probs' oracle
-# columns hold, and a key with a %, which the row template escapes.
+# columns hold, and a key and a text with %-format and escape characters.
 SPECIAL_ROW = {
     "zero": 0.0,
     "oracle": np.float64(0.1),
@@ -195,9 +195,20 @@ SPECIAL_DOC = {"schema_version": "1", "command": "causality-scan", "parameters":
 @example({**SPECIAL_DOC, "rows": [SPECIAL_ROW]})
 @example({**SPECIAL_DOC, "summary": {"error_rate": 0.5}, "rows": [SPECIAL_ROW] * 3})
 @example({**SPECIAL_DOC, "rows": [{}, {}]})
+@example({**SPECIAL_DOC, "rows": [{"a": 1}, {"b": 2.0, "c": None}]})
+@example({**SPECIAL_DOC, "rows": [{"a": 1}, {}, {"a": 2}]})
 def test_json_writer_is_json_dumps(doc):
     out = io.StringIO()
     cli.render({**doc, "rows": iter(doc["rows"])}, "json", out)  # read once, as it writes
+    assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.byte_identity
+def test_json_writer_without_the_c_accelerator(monkeypatch):
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    doc = {**SPECIAL_DOC, "rows": [SPECIAL_ROW] * 3 + [{}]}
+    out = io.StringIO()
+    cli.render(doc, "json", out)
     assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
