@@ -58,6 +58,13 @@ def parse_variant(text: str) -> Variant:
     raise argparse.ArgumentTypeError(f"variant must be 'distinguishable' or 'identical', got {text!r}")
 
 
+def parse_out(text: str) -> str:
+    """--out's PATH; an empty one is rejected, not taken for stdout."""
+    if not text:
+        raise argparse.ArgumentTypeError("PATH must not be empty")
+    return text
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):  # bool is not a float subclass
         return "%.17g" % value  # format(value, ".17g")'s bytes, for less dispatch
@@ -235,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--out", default=None, help="write the document to PATH instead of stdout")
+        p.add_argument("--out", type=parse_out, default=None, help="write the document to PATH instead of stdout")
 
     p = sub.add_parser("probs", help="closed-form and oracle outcome probabilities at one angle")
     p.add_argument("--theta", type=parse_angle, required=True)

@@ -49,14 +49,17 @@ def differential_sigma_20(theta: float) -> float:
 
     Units of lambda^2 dOmega, averaged over the orthogonal-pair mixture.
     """
-    _check_angle(theta)
-    return _closed_form_row(theta, Variant.DISTINGUISHABLE)[3]  # either variant's sigma20
+    return _closed_form_row(_check_angle(theta), Variant.DISTINGUISHABLE)[3]  # either variant's sigma20
 
 
-def _check_angle(theta: float) -> None:
-    """Reject NaN and |theta| > 2^20, where theta + pi/2 rounds off orthogonality."""
+def _check_angle(theta: float) -> float:
+    """Reject NaN and |theta| > 2^20, where theta + pi/2 rounds off orthogonality.
+
+    Returns theta as a Python float: a numpy float32 would keep theta + pi/2 in float32.
+    """
     if not abs(theta) <= 2.0**20:
         raise ValueError(f"theta must satisfy |theta| <= 2**20 (period pi), got {float(theta)}")
+    return float(theta)
 
 
 def _is_int(value) -> bool:
@@ -74,8 +77,7 @@ def _check_int(name: str, value, minimum: int) -> None:
 def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
     """Closed-form outcome triple for the orthogonal-pair mixture."""
     _check_variant(variant)
-    _check_angle(theta)
-    return ProbabilityTriple(*_closed_form_row(theta, variant)[:3])
+    return ProbabilityTriple(*_closed_form_row(_check_angle(theta), variant)[:3])
 
 
 def _closed_form_row(theta: float, variant: Variant):
@@ -99,6 +101,7 @@ def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
     _check_int("steps", steps, 2)
     for theta in (theta_min, theta_max):  # bounded ends keep the grid finite; checks the variant too
         closed_form_probs(theta, variant)
+    theta_min, theta_max = float(theta_min), float(theta_max)
     if not theta_min < theta_max:
         raise ValueError("theta_min must be < theta_max")
     # np.linspace's values, one at a time: i * step + theta_min, or

@@ -37,6 +37,9 @@ class LoopConfig:
             raise ValueError("L must be positive and finite")
         if not 0.0 <= self.ell < math.inf:
             raise ValueError("ell must be non-negative and finite")
+        # Python floats: a numpy float32 field would keep the loop's arithmetic in float32.
+        for name in ("u", "beta", "L", "ell"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,7 @@ def violation_threshold(u: float) -> float | None:
     at the upper bracket.
     """
     top = LoopConfig(u=u, beta=1.0 - 1e-15)  # rejects a bad u before the u <= 1 shortcut
+    u = top.u
     if u <= 1.0 or run_loop(top).delta_t >= 0.0:
         return None
     lo, hi = 0.0, top.beta

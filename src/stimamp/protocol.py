@@ -18,7 +18,15 @@ import numpy as np
 
 from .closed_form import ATOL_EXACT, Variant, _check_angle, _check_int, _is_int, closed_form_probs
 from .fock import single_photon_state
-from .statistics import _pcg64_states, _sampling_thresholds, monte_carlo_probs
+from .statistics import _sampling_thresholds, monte_carlo_probs
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# Streams seeded per vectorized pass; a block's words wait as ~180 B of Python ints per stream.
+_SEED_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -51,6 +59,59 @@ class LinearityReport:
     p_paper: float
     p_linear: float
     gap: float
+
+
+def _seed_hasher(hash_const: int, mult: int):
+    """numpy SeedSequence's hashmix on uint32 arrays, carrying its running hash constant."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_mix(x, y):
+    """numpy SeedSequence's mix of two uint32 arrays."""
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+def _pcg64_states(seed: int, count: int):
+    """default_rng((seed, i)).bit_generator.state for bits i = 0 ... count - 1, in order.
+
+    Runs numpy's SeedSequence over the entropy words of (seed, i) for a
+    block of 1024 bits at once, in uint32 arrays: the pool of 4, its mix,
+    and generate_state(4, np.uint64).  PCG64's srandom step then runs in
+    Python ints.  Yields each state as it is read, so memory holds one
+    block's words, not a state per bit.
+    """
+    seed = int(seed)
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    for start in range(0, count, _SEED_BLOCK):
+        low = np.arange(start, min(start + _SEED_BLOCK, count), dtype=np.uint32)
+        entropy = [np.full_like(low, word) for word in seed_words] + [low]
+        hashmix = _seed_hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(entropy[j] if j < len(entropy) else np.zeros_like(low)) for j in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _seed_mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _seed_mix(pool[dst], hashmix(word))
+        # Eight words cycled from the pool, paired little-endian into four uint64.
+        hashout = _seed_hasher(_INIT_B, _MULT_B)
+        words = [hashout(pool[t % 4]).astype(np.uint64) for t in range(8)]
+        halves = [(words[k] | words[k + 1] << 32).tolist() for k in range(0, 8, 2)]
+        for state_hi, state_lo, seq_hi, seq_lo in zip(*halves):
+            # pcg64_srandom: inc = 2 * initseq + 1; state = (inc + initstate) * MULT + inc, mod 2**128.
+            inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+            state = ((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc & _MASK128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 def transmit(config: ProtocolConfig, bits) -> TransmissionReport:
@@ -97,7 +158,7 @@ def reduced_density(theta: float) -> np.ndarray:
     Computed, not hard-coded: I/2 for every theta, which is why any theta,
     here 0, gives linearity_gap its linear prediction.
     """
-    _check_angle(theta)
+    theta = _check_angle(theta)
     psis = [single_photon_state(angle) for angle in (theta, theta + np.pi / 2.0)]
     return sum(0.5 * np.outer(psi, psi) for psi in psis)
 

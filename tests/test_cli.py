@@ -32,7 +32,7 @@ if jsonschema is not None:
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "stimamp", *args], capture_output=True, text=False
+        [sys.executable, "-m", "stimamp", *args], capture_output=True, text=False, timeout=60
     )
 
 
@@ -112,6 +112,16 @@ class TestSweep:
             proc = run_cli("sweep", "--steps", "5", "--format", "csv", "--out", str(path))
             assert proc.returncode == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--out", ""], ["--out="]])
+    def test_empty_out_path_exits_2(self, flag):
+        # An empty --out used to fall through to stdout and exit 0.
+        proc = run_cli("sweep", *flag)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert [line for line in proc.stderr.splitlines() if b"error:" in line] == [
+            b"stimamp sweep: error: argument --out: PATH must not be empty"
+        ]
 
     def test_unwritable_path_exits_3(self):
         proc = run_cli("sweep", "--out", "/nonexistent-dir/x.csv")
@@ -230,6 +240,7 @@ def probs_to(stdout, buffering):
         stdout=stdout,
         stderr=subprocess.PIPE,
         env=env,
+        timeout=60,
     )
 
 

@@ -92,6 +92,13 @@ class TestRunLoop:
     def test_violation_above_threshold(self):
         assert run_loop(LoopConfig(u=2.0, beta=0.9)).violated
 
+    def test_float32_fields_are_read_as_doubles(self):
+        # A float32 u and beta kept the loop's arithmetic in float32, moving delta_t by ~1e-7 relative.
+        u, beta = np.float32(3.0), np.float32(0.7)
+        cfg = LoopConfig(u=u, beta=beta, L=np.float32(1.5), ell=np.float32(0.25))
+        assert all(type(getattr(cfg, name)) is float for name in ("u", "beta", "L", "ell"))
+        assert run_loop(cfg) == run_loop(LoopConfig(u=3.0, beta=float(beta), L=1.5, ell=0.25))
+
     def test_no_violation_below_threshold(self):
         assert not run_loop(LoopConfig(u=2.0, beta=0.5)).violated
 
@@ -217,6 +224,11 @@ class TestViolationThreshold:
         assert 0.0 < violation_threshold(8e300) < 1e-9
         with pytest.raises(ValueError, match=r"u = 8\.1e\+300 is too large for beta = 0\.999999999999999"):
             violation_threshold(8.1e300)
+
+    def test_float32_speed_is_computed_in_double(self):
+        # Bisected in float32 arithmetic, u = 3 gave 0.5999999349005514, 65 times the 1e-9 tolerance from 0.6.
+        assert violation_threshold(np.float32(3.0)) == violation_threshold(3.0)
+        assert violation_threshold(np.float32(3.0)) == pytest.approx(0.6, abs=1e-9)
 
     def test_flip_happens_exactly_once(self):
         u = 3.0

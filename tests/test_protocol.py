@@ -167,6 +167,25 @@ class TestTransmit:
         assert transmit(cfg, [1, 0, 1]) == transmit(cfg, [1, 0, 1])
 
     @pytest.mark.byte_identity
+    @settings(max_examples=200)
+    @given(
+        st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**200)),
+        st.integers(1, 40),
+    )
+    @example(0, 5)
+    @example(3, 5)
+    @example(2**32 - 1, 5)
+    @example(2**32, 5)
+    @example(2**64 - 1, 5)
+    @example(12345678901234567890, 5)
+    @example(2**130 + 7, 5)
+    @example(5, 2 * protocol._SEED_BLOCK + 3)  # three blocks, the last partial
+    def test_seeding_equals_numpys(self, seed, count):
+        # transmit's seeding of every bit at once is a second implementation of numpy's.
+        expected = [np.random.default_rng((seed, i)).bit_generator.state for i in range(count)]
+        assert list(protocol._pcg64_states(seed, count)) == expected
+
+    @pytest.mark.byte_identity
     @settings(max_examples=150)
     @given(
         st.lists(st.integers(0, 1), min_size=1, max_size=40),
@@ -178,7 +197,7 @@ class TestTransmit:
     @example([1, 0, 1], 3, 20000, Variant.IDENTICAL, (0.0, np.pi / 4))  # a bit spans two _CHUNK_ROWS chunks
     @example([0, 1, 1, 0], 7, 37, Variant.DISTINGUISHABLE, MIRRORED_MIDPOINT_SYMBOLS)
     @example(  # three seeding blocks, the last partial
-        [i % 2 for i in range(2 * statistics._SEED_BLOCK + 3)], 5, 3, Variant.DISTINGUISHABLE, (0.0, np.pi / 4)
+        [i % 2 for i in range(2 * protocol._SEED_BLOCK + 3)], 5, 3, Variant.DISTINGUISHABLE, (0.0, np.pi / 4)
     )
     def test_estimates_equal_per_bit_kernel_calls(self, bits, seed, pairs, variant, symbols):
         # The thresholds built once per transmit give each bit's own kernel call's doubles.
@@ -269,6 +288,13 @@ class TestReducedDensity:
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-12)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert min(np.linalg.eigvalsh(rho)) > -1e-12
+
+    def test_float32_angle_is_computed_in_double(self):
+        # In float32, theta + pi/2 is not orthogonal to theta: the matrix was 5.96e-8 from I/2.
+        rho = reduced_density(np.float32(0.3))
+        assert rho.dtype == np.float64
+        assert np.array_equal(rho, reduced_density(float(np.float32(0.3))))
+        assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-15
 
     @pytest.mark.parametrize("theta", [2.0**20 + 1, 2.0**53, 1e300, float("nan"), float("inf"), float("-inf")])
     def test_rejects_angles_beyond_domain(self, theta):

@@ -257,6 +257,20 @@ class TestAngleDomain:
         with pytest.raises(ValueError, match=r"got 1e\+308$"):
             closed_form_probs(np.float64(1e308), Variant.DISTINGUISHABLE)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_float32_angle_is_computed_in_double(self, variant):
+        # In float32, theta + pi/2 is not orthogonal to theta: the oracle missed the closed form by 1.07e-7.
+        theta = np.float32(0.3)
+        assert first_principles_probs(theta, variant) == first_principles_probs(float(theta), variant)
+        oracle, closed = astuple(first_principles_probs(theta, variant)), astuple(closed_form_probs(theta, variant))
+        assert max(abs(a - b) for a, b in zip(oracle, closed)) < 1e-15
+
+    def test_sweep_reads_float32_ends_as_doubles(self):
+        ends = np.float32(0.1), np.float32(0.5)
+        rows = list(sweep(*ends, 5, Variant.IDENTICAL))
+        assert rows == list(sweep(*map(float, ends), 5, Variant.IDENTICAL))
+        assert all(type(x) is float for row in rows for x in row)
+
     def test_sweep_bounds_its_ends(self):
         list(sweep(-ANGLE_LIMIT, ANGLE_LIMIT, 2, Variant.DISTINGUISHABLE))
         # The ends are checked before their order, so a NaN end is an angle error.
@@ -403,25 +417,6 @@ class TestMonteCarlo:
         # transmit keys bit i by (seed, i), the stream of SeedSequence((seed, i)).
         expected = reference_counts(0.7, variant, n, np.random.SeedSequence((s, i)))
         assert monte_carlo_probs(0.7, variant, n, (s, i)) == expected
-
-    @pytest.mark.byte_identity
-    @settings(max_examples=200)
-    @given(
-        st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**200)),
-        st.integers(1, 40),
-    )
-    @example(0, 5)
-    @example(3, 5)
-    @example(2**32 - 1, 5)
-    @example(2**32, 5)
-    @example(2**64 - 1, 5)
-    @example(12345678901234567890, 5)
-    @example(2**130 + 7, 5)
-    @example(5, 2 * statistics._SEED_BLOCK + 3)  # three blocks, the last partial
-    def test_seeding_equals_numpys(self, seed, count):
-        # transmit's seeding of every bit at once is a second implementation of numpy's.
-        expected = [np.random.default_rng((seed, i)).bit_generator.state for i in range(count)]
-        assert list(statistics._pcg64_states(seed, count)) == expected
 
     @pytest.mark.parametrize(
         "theta,variant",
