@@ -48,7 +48,7 @@ def parse_angle(text: str) -> float:
             value = float(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid angle literal: {text!r}")
-    return float(value)
+    return value
 
 
 def parse_variant(text: str) -> Variant:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 # Tolerance of exact linear-algebra identities.
 ATOL_EXACT = 1e-12
+# The largest count (n, pairs_per_bit, steps): numpy's int64 maximum; no run near it can finish.
+_MAX_COUNT = 2**63 - 1
 
 
 class Variant(enum.Enum):
@@ -58,7 +60,11 @@ def _check_angle(theta: float) -> float:
     Returns theta as a Python float: a numpy float32 would keep theta + pi/2 in float32.
     """
     if not abs(theta) <= 2.0**20:
-        raise ValueError(f"theta must satisfy |theta| <= 2**20 (period pi), got {float(theta)}")
+        try:
+            got = float(theta)
+        except OverflowError:  # an int beyond the doubles has no float to print
+            got = "a number too large for a double"
+        raise ValueError(f"theta must satisfy |theta| <= 2**20 (period pi), got {got}")
     return float(theta)
 
 
@@ -68,10 +74,12 @@ def _is_int(value) -> bool:
     return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
-def _check_int(name: str, value, minimum: int) -> None:
-    """Reject anything but a Python or numpy integer >= minimum."""
+def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Reject anything but a Python or numpy integer >= minimum, and <= maximum if one is given."""
     if not _is_int(value) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be an integer <= {maximum}")
 
 
 def closed_form_probs(theta: float, variant: Variant) -> ProbabilityTriple:
@@ -98,16 +106,14 @@ def sweep(theta_min: float, theta_max: float, steps: int, variant: Variant):
     theta, each computed as it is read.  Interior angles lie between the
     checked ends, so rows are not checked again.
     """
-    _check_int("steps", steps, 2)
-    for theta in (theta_min, theta_max):  # bounded ends keep the grid finite; checks the variant too
-        closed_form_probs(theta, variant)
-    theta_min, theta_max = float(theta_min), float(theta_max)
+    _check_int("steps", steps, 2, _MAX_COUNT)
+    _check_variant(variant)
+    theta_min, theta_max = _check_angle(theta_min), _check_angle(theta_max)  # bounded ends keep the grid finite
     if not theta_min < theta_max:
         raise ValueError("theta_min must be < theta_max")
-    # np.linspace's values, one at a time: i * step + theta_min, or
-    # i / div * delta + theta_min where step underflows to 0, then theta_max.
-    delta, div = theta_max - theta_min, steps - 1
+    # np.linspace's values, one at a time, as Python floats: i * step + theta_min,
+    # or i / div * delta + theta_min where step underflows to 0, then theta_max.
+    delta, div = theta_max - theta_min, int(steps) - 1
     step = delta / div
     grid = (i * step + theta_min if step else i / div * delta + theta_min for i in range(div))
-    thetas = map(float, itertools.chain(grid, [theta_max]))
-    return ((theta, *_closed_form_row(theta, variant)) for theta in thetas)
+    return ((theta, *_closed_form_row(theta, variant)) for theta in itertools.chain(grid, [theta_max]))

@@ -9,6 +9,7 @@ A negative round-trip time at the origin is a causality violation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -28,14 +29,18 @@ class LoopConfig:
     ell: float = 0.0  # light-channel length in S
 
     def __post_init__(self):
-        # Written so that NaN fails every comparison.
-        if not 0.0 < self.u < math.inf:
+        # Written so that NaN fails every comparison.  An int beyond the doubles has no float,
+        # so it is checked as inf (a float32 compared with the largest double overflows its cast).
+        u, L, ell = (
+            math.inf if isinstance(v, int) and v > sys.float_info.max else v for v in (self.u, self.L, self.ell)
+        )
+        if not 0.0 < u < math.inf:
             raise ValueError("u must be positive and finite")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must be in [0, 1)")
-        if not 0.0 < self.L < math.inf:
+        if not 0.0 < L < math.inf:
             raise ValueError("L must be positive and finite")
-        if not 0.0 <= self.ell < math.inf:
+        if not 0.0 <= ell < math.inf:
             raise ValueError("ell must be non-negative and finite")
         # Python floats: a numpy float32 field would keep the loop's arithmetic in float32.
         for name in ("u", "beta", "L", "ell"):
@@ -100,8 +105,7 @@ def run_loop(cfg: LoopConfig) -> LoopReport:
     length underflows to 0 (L too small for u).
     """
     t1, x1, t2, t3 = _loop_times(cfg.u, cfg.beta, cfg.L, cfg.ell)
-    delta_t = float(t3)
-    return LoopReport(Event(0.0, 0.0), Event(t1, x1), Event(t2, cfg.ell), Event(t3, 0.0), delta_t, delta_t < 0.0)
+    return LoopReport(Event(0.0, 0.0), Event(t1, x1), Event(t2, cfg.ell), Event(t3, 0.0), t3, t3 < 0.0)
 
 
 def violation_threshold(u: float) -> float | None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import ATOL_EXACT, Variant, _check_angle, _check_int, _is_int, closed_form_probs
+from .closed_form import _MAX_COUNT, ATOL_EXACT, Variant, _check_angle, _check_int, _is_int, closed_form_probs
 from .fock import single_photon_state
 from .statistics import _sampling_thresholds, monte_carlo_probs
 
@@ -38,7 +38,7 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int("pairs_per_bit", self.pairs_per_bit, 1)
+        _check_int("pairs_per_bit", self.pairs_per_bit, 1, _MAX_COUNT)
         _check_int("seed", self.seed, 0)
         # The decoder tells the symbols apart by their |2,0> probabilities alone.
         p0, p1 = (closed_form_probs(t, self.variant).p20 for t in (self.theta_bit0, self.theta_bit1))

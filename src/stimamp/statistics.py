@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplifier import scatter
-from .closed_form import ProbabilityTriple, Variant, _check_angle, _check_int
+from .closed_form import _MAX_COUNT, ProbabilityTriple, Variant, _check_angle, _check_int
 # perfbench/tracing.py finds these two trace sites as statistics attributes;
 # the line goes once the tracer names sites by their defining module (ROADMAP item 1a).
 from .closed_form import closed_form_probs, sweep  # noqa: F401
@@ -121,7 +121,7 @@ def monte_carlo_probs(
     default_rng(seed)'s initial state (transmit loads its streams' states into one);
     the seed is still checked but not read, and the counts are the same.
     """
-    _check_int("n", n, 1)
+    _check_int("n", n, 1, _MAX_COUNT)
     for entry in seed if isinstance(seed, tuple) and seed else (seed,):
         _check_int("seed", entry, 0)
     if rng is None:

@@ -137,14 +137,16 @@ def test_criterion_7_cli_determinism():
         ("causality", "--u", "2", "--beta", "0.9", "--format", "json"),
         ("causality-scan", "--u", "1.5", "2", "5", "--format", "csv"),
     ):
-        cmd = [sys.executable, "-m", "stimamp", *args]
+        cmd = [sys.executable, "-W", "error", "-m", "stimamp", *args]
         first = subprocess.run(cmd, capture_output=True, timeout=60).stdout
         second = subprocess.run(cmd, capture_output=True, timeout=60).stdout
         check(failures, len(first) > 0 and first == second, "re-run", args, len(first), len(second))
     if not failures:
         doc = json.loads(
             subprocess.run(
-                [sys.executable, "-m", "stimamp", "probs", "--theta", "0"], capture_output=True, timeout=60
+                [sys.executable, "-W", "error", "-m", "stimamp", "probs", "--theta", "0"],
+                capture_output=True,
+                timeout=60,
             ).stdout
         )
         check(failures, doc["schema_version"] == "1", "schema version", doc["schema_version"])

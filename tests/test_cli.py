@@ -32,7 +32,7 @@ if jsonschema is not None:
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "stimamp", *args], capture_output=True, text=False, timeout=60
+        [sys.executable, "-W", "error", "-m", "stimamp", *args], capture_output=True, text=False, timeout=60
     )
 
 
@@ -236,7 +236,7 @@ def probs_to(stdout, buffering):
     if buffering == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
-        [sys.executable, "-m", "stimamp", "probs", "--theta", "0"],
+        [sys.executable, "-W", "error", "-m", "stimamp", "probs", "--theta", "0"],
         stdout=stdout,
         stderr=subprocess.PIPE,
         env=env,
@@ -440,6 +440,13 @@ NEGATIVE_SEEDS = [
     "mc --theta 0 -n 10 --seed=-1",
 ]
 
+# Counts past their one maximum, 2**63 - 1; int(n / 0.7) and the sweep's step raised OverflowError.
+COUNT_ERRORS = {
+    "n": f"mc --theta 0 -n {10**400}",
+    "pairs_per_bit": f"protocol --bits 01 --pairs-per-bit {10**400}",
+    "steps": f"sweep --steps {10**400}",
+}
+
 USAGE_ERRORS = [
     "probs --theta pi/0",
     "causality --u nan --beta 0.5",
@@ -463,6 +470,7 @@ USAGE_ERRORS = [
     *ANGLE_ERRORS,
     *NEGATIVE_SPEEDS,
     *NEGATIVE_SEEDS,
+    *(pytest.param(command, id=f"{name}-10**400") for name, command in COUNT_ERRORS.items()),
 ]
 
 
@@ -520,6 +528,12 @@ def test_scan_prints_the_recorded_thresholds_at_every_length(L, capsys):
     assert doc["parameters"]["L"] == L
     thresholds = [row["threshold_beta"] for row in doc["rows"]]
     assert [None if beta is None else beta.hex() for beta in thresholds] == THRESHOLD_BITS["threshold"]
+
+
+@pytest.mark.parametrize("name", COUNT_ERRORS)
+def test_count_beyond_the_maximum_is_one_error_line(name, capsys):
+    assert main(shlex.split(COUNT_ERRORS[name])) == 2
+    assert capsys.readouterr() == ("", f"error: {name} must be an integer <= {2**63 - 1}\n")
 
 
 @pytest.mark.parametrize("command", NEGATIVE_SPEEDS)

@@ -31,6 +31,8 @@ BITS_PATH = Path(__file__).with_name("threshold_bits.json")
 # run_loop at every step.
 BITS = json.loads(BITS_PATH.read_text())
 RECORDED_SPEEDS = [float.fromhex(h) for h in BITS["u"]]
+# Python ints with no double: a bound of inf let them through to float(), which raised OverflowError.
+BEYOND_DOUBLES = [pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")]
 
 
 def threshold_record(u):
@@ -184,7 +186,7 @@ class TestRunLoop:
             LoopConfig(u=2.0, beta=0.5, ell=-1.0)
 
     @pytest.mark.parametrize("field", ["u", "beta", "L", "ell"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, *BEYOND_DOUBLES])
     def test_rejects_non_finite(self, field, value):
         kwargs = {"u": 2.0, "beta": 0.5, "L": 1.0, "ell": 0.0, field: value}
         with pytest.raises(ValueError):
@@ -213,7 +215,7 @@ class TestViolationThreshold:
     def test_threshold_just_above_the_rounding_edge(self):
         assert violation_threshold(1.0 + 5e-8) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("u", [0.0, -2.0, np.nan, np.inf])
+    @pytest.mark.parametrize("u", [0.0, -2.0, np.nan, np.inf, *BEYOND_DOUBLES])
     def test_rejects_bad_speed(self, u):
         with pytest.raises(ValueError, match="u must be positive and finite"):
             violation_threshold(u)

@@ -14,7 +14,7 @@ from stimamp import statistics
 from stimamp.amplifier import branch_weights, scatter
 from stimamp.closed_form import ProbabilityTriple, Variant, closed_form_probs, differential_sigma_20, sweep
 from stimamp.fock import E11, E20, apply_rotation, projection_triple, two_photon_rotation
-from stimamp.protocol import ProtocolConfig, transmit
+from stimamp.protocol import ProtocolConfig, linearity_gap, reduced_density, transmit
 from stimamp.statistics import CountTriple, first_principles_probs, monte_carlo_probs, outcome_table
 
 RNG = np.random.default_rng(31)
@@ -239,6 +239,13 @@ class TestAngleDomain:
         "oracle": lambda theta: first_principles_probs(theta, Variant.IDENTICAL),
         "monte_carlo": lambda theta: monte_carlo_probs(theta, Variant.IDENTICAL, 10, 1),
     }
+    MORE_CALLS = {
+        "sweep_min": lambda theta: sweep(theta, 2.0**20, 3, Variant.IDENTICAL),
+        "sweep_max": lambda theta: sweep(-(2.0**20), theta, 3, Variant.IDENTICAL),
+        "reduced_density": reduced_density,
+        "linearity_gap": lambda theta: linearity_gap(theta, Variant.IDENTICAL),
+        "protocol_config": lambda theta: ProtocolConfig(pairs_per_bit=20, theta_bit1=theta),
+    }
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("call", CALLS)
@@ -252,6 +259,13 @@ class TestAngleDomain:
         # Unchecked, NaN gave NaN, 1e300 a number, and math.cos(inf) a bare "math domain error".
         with pytest.raises(ValueError, match="theta must satisfy"):
             differential_sigma_20(theta)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("call", [*CALLS, *MORE_CALLS])
+    def test_rejects_int_beyond_the_doubles(self, call, sign):
+        # The message's float(theta) raised OverflowError, not ValueError.
+        with pytest.raises(ValueError, match=r"theta must satisfy .* got a number too large for a double$"):
+            {**self.CALLS, **self.MORE_CALLS}[call](sign * 10**400)
 
     def test_message_names_numpy_angle_as_plain_float(self):
         with pytest.raises(ValueError, match=r"got 1e\+308$"):
@@ -478,12 +492,31 @@ class TestSweep:
 
     @pytest.mark.parametrize("steps", [3, 10001])
     def test_no_probability_triple_per_row(self, steps, monkeypatch):
-        # Only the two end checks build triples; the rows are flat floats.
+        # The ends go through the angle and variant checks, not closed_form_probs; the rows are flat floats.
         calls = []
         check = ProbabilityTriple.__post_init__
         monkeypatch.setattr(ProbabilityTriple, "__post_init__", lambda self: calls.append(self) or check(self))
         assert len(list(sweep(0.0, 1.0, steps, Variant.IDENTICAL))) == steps
-        assert len(calls) == 2
+        assert len(calls) == 0
+
+    @pytest.mark.byte_identity
+    def test_numpy_integer_steps_give_python_floats(self):
+        # The grid divides by a Python int, so no numpy scalar reaches a row.
+        rows = list(sweep(0.0, 1.0, np.int64(5), Variant.IDENTICAL))
+        assert all(type(x) is float for row in rows for x in row)
+        assert rows == list(sweep(0.0, 1.0, 5, Variant.IDENTICAL))
+
+    def test_checks_in_order(self):
+        # steps, variant, theta_min, theta_max, then the ends' order.
+        for args, message in [
+            ((3e6, 2e6, 1, None), "^steps must be an integer >= 2$"),
+            ((3e6, 2e6, 5, None), "^variant must be a Variant"),
+            ((3e6, 2e6, 5, Variant.IDENTICAL), r"got 3000000\.0$"),
+            ((1.0, 2e6, 5, Variant.IDENTICAL), r"got 2000000\.0$"),
+            ((1.0, 0.5, 5, Variant.IDENTICAL), "^theta_min must be < theta_max$"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                sweep(*args)
 
     def test_grid_memory_does_not_grow_with_steps(self):
         # np.linspace would hold all 1e7 angles: 76 MiB.
@@ -557,6 +590,31 @@ def test_integer_rule_rejects(site, value):
     name, minimum, call = INTEGER_SITES[site]
     with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {minimum}$"):
         call(value)
+
+
+# n, steps and pairs_per_bit share one maximum, numpy's int64; seeds have none.
+# Beyond it int(n / 0.7) and the sweep's step raised OverflowError.
+COUNT_SITES = ["mc_n", "sweep_steps", "pairs_per_bit"]
+
+
+@pytest.mark.parametrize(
+    "site,value",
+    [
+        pytest.param(site, value, id=f"{site}-{label}")
+        for site in COUNT_SITES
+        for label, value in (("2**63", 2**63), ("10**400", 10**400), ("uint64_max", np.uint64(2**64 - 1)))
+    ],
+)
+def test_count_rule_rejects_beyond_the_maximum(site, value):
+    name, _, call = INTEGER_SITES[site]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer <= {2**63 - 1}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("site", ["sweep_steps", "pairs_per_bit"])
+def test_count_rule_accepts_the_maximum(site):
+    # Both only check at the call: no run near 2**63 - 1 could finish.
+    INTEGER_SITES[site][2](2**63 - 1)
 
 
 @pytest.mark.byte_identity
