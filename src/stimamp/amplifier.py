@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import Variant, _check_variant
+from .closed_form import Variant, _check_variant, _real
 from .fock import E11, E20, apply_rotation, two_photon_rotation
 
 
@@ -31,7 +31,8 @@ class EmissionConstants:
 
     def __post_init__(self):
         for name in ("omega", "mu", "hbar", "c"):
-            if not 0.0 < getattr(self, name) < np.inf:  # NaN fails every comparison
+            object.__setattr__(self, name, _real(f"{name} must be positive and finite", getattr(self, name)))
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails every comparison
                 raise ValueError(f"{name} must be positive and finite")
 
 

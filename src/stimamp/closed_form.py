@@ -54,18 +54,28 @@ def differential_sigma_20(theta: float) -> float:
     return _closed_form_row(_check_angle(theta), Variant.DISTINGUISHABLE)[3]  # either variant's sigma20
 
 
-def _check_angle(theta: float) -> float:
-    """Reject NaN and |theta| > 2^20, where theta + pi/2 rounds off orthogonality.
-
-    Returns theta as a Python float: a numpy float32 would keep theta + pi/2 in float32.
-    """
-    if not abs(theta) <= 2.0**20:
+def _real(rule: str, value) -> float:
+    """The double that a real or a Decimal converts to, once, by float(); anything else is ValueError(rule)."""
+    if type(value) is float:  # an exact float skips the ABC checks, as in _is_int
+        return value
+    # A Decimal is a Number outside the Complex tower; a bool is rejected, as for integers.
+    ok = isinstance(value, numbers.Real) or isinstance(value, numbers.Number) and not isinstance(value, numbers.Complex)
+    if ok and not isinstance(value, bool):
         try:
-            got = float(theta)
-        except OverflowError:  # an int beyond the doubles has no float to print
-            got = "a number too large for a double"
-        raise ValueError(f"theta must satisfy |theta| <= 2**20 (period pi), got {got}")
-    return float(theta)
+            return float(value)
+        except OverflowError:  # an int or Fraction beyond the doubles
+            raise ValueError(f"{rule}, got a number too large for a double") from None
+        except ValueError:  # Decimal("sNaN")
+            pass
+    raise ValueError(f"{rule}, got {value!r}")
+
+
+def _check_angle(theta: float) -> float:
+    """theta as a Python float; NaN and |theta| > 2^20, where theta + pi/2 rounds off orthogonality, are rejected."""
+    theta = _real("theta must satisfy |theta| <= 2**20 (period pi)", theta)
+    if not abs(theta) <= 2.0**20:
+        raise ValueError(f"theta must satisfy |theta| <= 2**20 (period pi), got {theta}")
+    return theta
 
 
 def _is_int(value) -> bool:

@@ -9,8 +9,9 @@ A negative round-trip time at the origin is a causality violation.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+
+from .closed_form import _real
 
 
 @dataclass(frozen=True)
@@ -29,22 +30,17 @@ class LoopConfig:
     ell: float = 0.0  # light-channel length in S
 
     def __post_init__(self):
-        # Written so that NaN fails every comparison.  An int beyond the doubles has no float,
-        # so it is checked as inf (a float32 compared with the largest double overflows its cast).
-        u, L, ell = (
-            math.inf if isinstance(v, int) and v > sys.float_info.max else v for v in (self.u, self.L, self.ell)
-        )
-        if not 0.0 < u < math.inf:
-            raise ValueError("u must be positive and finite")
-        if not 0.0 <= self.beta < 1.0:
-            raise ValueError("beta must be in [0, 1)")
-        if not 0.0 < L < math.inf:
-            raise ValueError("L must be positive and finite")
-        if not 0.0 <= ell < math.inf:
-            raise ValueError("ell must be non-negative and finite")
-        # Python floats: a numpy float32 field would keep the loop's arithmetic in float32.
-        for name in ("u", "beta", "L", "ell"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        # Each field is stored as the double that is checked, so a float32 does not keep the loop in float32.
+        for name, rule, ok in (
+            ("u", "u must be positive and finite", lambda v: 0.0 < v < math.inf),  # NaN fails every comparison
+            ("beta", "beta must be in [0, 1)", lambda v: 0.0 <= v < 1.0),
+            ("L", "L must be positive and finite", lambda v: 0.0 < v < math.inf),
+            ("ell", "ell must be non-negative and finite", lambda v: 0.0 <= v < math.inf),
+        ):
+            value = _real(rule, getattr(self, name))
+            if not ok(value):
+                raise ValueError(rule)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -63,6 +59,7 @@ def gamma(beta: float) -> float:
 
 def boost(e: Event, beta: float) -> Event:
     """Standard Lorentz boost to the frame moving at +beta."""
+    beta = _real("|beta| must be < 1", beta)
     if not abs(beta) < 1.0:  # NaN fails every comparison
         raise ValueError("|beta| must be < 1")
     g = gamma(beta)

@@ -1,8 +1,9 @@
 """The closed forms and the kinematics import no numpy and no oracle module.
 
 A subprocess blocks numpy, fock, amplifier, statistics, protocol and cli at
-import, then computes closed-form values that must equal, bit for bit, the
-ones computed here with every module loaded.
+import, then computes closed-form values, a loop, a boost and a threshold
+that must equal, bit for bit, the ones computed here with every module
+loaded.
 """
 
 import subprocess
@@ -26,11 +27,14 @@ sys.meta_path.insert(0, Blocker())
 
 VALUES = """
 from dataclasses import astuple
+from fractions import Fraction
 
 from stimamp.closed_form import Variant, closed_form_probs, differential_sigma_20, sweep
-from stimamp.kinematics import violation_threshold
+from stimamp.kinematics import Event, LoopConfig, boost, run_loop, violation_threshold
 
 values = [differential_sigma_20(0.3), violation_threshold(2.0)]
+# kinematics reads its reals through closed_form's rule, a Fraction's too.
+values += [run_loop(LoopConfig(u=Fraction(3), beta=0.5)).delta_t, *astuple(boost(Event(1.0, 2.0), 0.5))]
 for variant in Variant:
     values += astuple(closed_form_probs(0.3, variant))
     values += [x for row in sweep(0.0, 1.0, 3, variant) for x in row]
