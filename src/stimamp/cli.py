@@ -294,8 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Parse, delegate, render; the library's ValueError is a usage error."""
-    args = build_parser().parse_args(argv)
+    """Parse, delegate, render; return every exit code. The library's ValueError is a usage error."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written its --help (0) or usage error (2)
+        return exc.code
     try:
         return args.func(args)
     except ValueError as exc:

@@ -53,7 +53,7 @@ class LoopReport:
     violated: bool
 
 
-def gamma(beta: float) -> float:
+def _gamma(beta: float) -> float:
     return 1.0 / math.sqrt(1.0 - beta * beta)
 
 
@@ -62,7 +62,7 @@ def boost(e: Event, beta: float) -> Event:
     beta = _real("|beta| must be < 1", beta)
     if not abs(beta) < 1.0:  # NaN fails every comparison
         raise ValueError("|beta| must be < 1")
-    g = gamma(beta)
+    g = _gamma(beta)
     return Event(g * (e.t - beta * e.x), g * (e.x - beta * e.t))
 
 
@@ -76,7 +76,7 @@ def _loop_times(u: float, beta: float, L: float, ell: float) -> tuple[float, flo
     # (1 - beta*u = 0: the leg is traversed at constant S time).
     if u <= beta:
         raise ValueError("return leg never progresses toward the origin (u <= beta)")
-    g = gamma(beta)
+    g = _gamma(beta)
     rate = g * (u - beta)  # -dx/dtau; were it infinite, tau would be 0 and the return leg lost
     if not math.isfinite(rate):
         raise ValueError(f"loop coordinates overflow: u = {u!r} is too large for beta = {beta!r}")

@@ -40,6 +40,8 @@ class ProtocolConfig:
     def __post_init__(self):
         _check_int("pairs_per_bit", self.pairs_per_bit, 1, _MAX_COUNT)
         _check_int("seed", self.seed, 0)
+        for name in ("theta_bit0", "theta_bit1"):  # stored as the double that is checked, as LoopConfig's fields
+            object.__setattr__(self, name, _check_angle(getattr(self, name)))
         # The decoder tells the symbols apart by their |2,0> probabilities alone.
         p0, p1 = (closed_form_probs(t, self.variant).p20 for t in (self.theta_bit0, self.theta_bit1))
         if abs(p0 - p1) < ATOL_EXACT:

@@ -5,11 +5,10 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
 import json
-import subprocess
-import sys
 from dataclasses import astuple
 
 import numpy as np
+from runs import run_python
 
 from stimamp.closed_form import Variant, closed_form_probs, differential_sigma_20
 from stimamp.fock import rotation2, symmetric_lift, two_photon_rotation
@@ -137,17 +136,10 @@ def test_criterion_7_cli_determinism():
         ("causality", "--u", "2", "--beta", "0.9", "--format", "json"),
         ("causality-scan", "--u", "1.5", "2", "5", "--format", "csv"),
     ):
-        cmd = [sys.executable, "-W", "error", "-m", "stimamp", *args]
-        first = subprocess.run(cmd, capture_output=True, timeout=60).stdout
-        second = subprocess.run(cmd, capture_output=True, timeout=60).stdout
+        first = run_python("-m", "stimamp", *args).stdout
+        second = run_python("-m", "stimamp", *args).stdout
         check(failures, len(first) > 0 and first == second, "re-run", args, len(first), len(second))
     if not failures:
-        doc = json.loads(
-            subprocess.run(
-                [sys.executable, "-W", "error", "-m", "stimamp", "probs", "--theta", "0"],
-                capture_output=True,
-                timeout=60,
-            ).stdout
-        )
+        doc = json.loads(run_python("-m", "stimamp", "probs", "--theta", "0").stdout)
         check(failures, doc["schema_version"] == "1", "schema version", doc["schema_version"])
     report(7, "byte-identical re-runs for every command", failures)

@@ -5,7 +5,6 @@ import math
 import os
 import shlex
 import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from runs import run_python
 
 from stimamp import cli
 from stimamp.cli import build_parser, main, parse_angle
@@ -31,9 +31,7 @@ if jsonschema is not None:
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "stimamp", *args], capture_output=True, text=False, timeout=60
-    )
+    return run_python("-m", "stimamp", *args)
 
 
 def run_json(*args):
@@ -235,13 +233,7 @@ def probs_to(stdout, buffering):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if buffering == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "stimamp", "probs", "--theta", "0"],
-        stdout=stdout,
-        stderr=subprocess.PIPE,
-        env=env,
-        timeout=60,
-    )
+    return run_python("-m", "stimamp", "probs", "--theta", "0", stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
 def assert_clean_write_error(proc):
@@ -374,6 +366,14 @@ def test_main_callable_in_process(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# schema_version=1")
     assert "theta_rad,variant,p20" in out
+    # argparse's exits come back as exit codes, not as SystemExit.
+    assert main(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: stimamp") and err == ""
+    assert main(["probs"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: stimamp probs")
+    assert "the following arguments are required: --theta" in err
 
 
 def test_parser_is_built_once():
@@ -383,9 +383,7 @@ def test_parser_is_built_once():
 def test_shared_parser_keeps_no_state_between_commands(capsys):
     # The flags of one command (a rejected literal, --format csv, --seed 7)
     # must not leak into the next one parsed by the same parser.
-    with pytest.raises(SystemExit) as exc:
-        main(["mc", "--theta", "bogus", "--seed", "7", "--format", "csv"])
-    assert exc.value.code == 2
+    assert main(["mc", "--theta", "bogus", "--seed", "7", "--format", "csv"]) == 2
     assert capsys.readouterr().out == ""
     commands = [
         ["mc", "--theta", "0.3", "-n", "1000", "--seed", "7", "--format", "csv"],
@@ -476,12 +474,8 @@ USAGE_ERRORS = [
 
 @pytest.mark.parametrize("command", USAGE_ERRORS)
 def test_usage_error_exits_2_cleanly(command, capsys):
-    try:
-        code = main(shlex.split(command))
-    except SystemExit as exc:  # argparse rejects the literal itself
-        code = exc.code
+    assert main(shlex.split(command)) == 2  # argparse's rejections included
     out, err = capsys.readouterr()
-    assert code == 2
     assert out == ""
     assert err.startswith(("usage:", "error:")), err
     assert "Warning" not in err

@@ -7,16 +7,13 @@ after a deliberate output change, from the root of a checkout:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
-import contextlib
 import hashlib
-import io
 import json
 import shlex
 from pathlib import Path
 
 import pytest
-
-from stimamp import cli
+from runs import run_main
 
 pytestmark = pytest.mark.byte_identity
 
@@ -90,13 +87,8 @@ def corpus() -> list[str]:
 
 def run(command: str) -> tuple[str, int]:
     """sha256 of stdout and the exit code of one in-process CLI call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(shlex.split(command))
-        except SystemExit as exc:
-            code = exc.code
-    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+    code, out, _ = run_main(shlex.split(command))
+    return hashlib.sha256(out.encode()).hexdigest(), code
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,7 @@ that must equal, bit for bit, the ones computed here with every module
 loaded.
 """
 
-import subprocess
-import sys
+from runs import run_python
 
 BLOCKER = """
 import sys
@@ -47,9 +46,7 @@ print(" ".join(map(float.hex, values)))
 
 
 def test_closed_form_imports_neither_numpy_nor_the_oracles():
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", BLOCKER + VALUES + REPORT], capture_output=True, text=True, timeout=60
-    )
+    proc = run_python("-c", BLOCKER + VALUES + REPORT, text=True)
     assert proc.returncode == 0, proc.stderr
     namespace = {}
     exec(VALUES, namespace)

@@ -1,7 +1,5 @@
 """Property-based tests over the full input domains (Hypothesis)."""
 
-import contextlib
-import io
 import json
 import math
 from dataclasses import astuple
@@ -10,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from runs import run_main
 
-from stimamp.cli import main
 from stimamp.closed_form import ATOL_EXACT, Variant, closed_form_probs, sweep
 from stimamp.kinematics import violation_threshold
 from stimamp.protocol import ProtocolConfig, reduced_density
@@ -95,14 +93,9 @@ angle_texts = st.one_of(
 
 @given(angle_texts)
 def test_probs_never_ends_in_a_traceback(text):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(["probs", f"--theta={text}"])
-        except SystemExit as exc:  # argparse rejects the literal itself
-            code = exc.code
-    assert code in (0, 2), err.getvalue()
-    assert (out.getvalue() == "") == (code == 2)
+    code, out, err = run_main(["probs", f"--theta={text}"])
+    assert code in (0, 2), err
+    assert (out == "") == (code == 2)
 
 
 @given(st.floats(1.01, 1e6))
@@ -110,22 +103,11 @@ def test_violation_threshold_matches_the_closed_form(u):
     assert abs(violation_threshold(u) - 2.0 / (u + 1.0 / u)) <= 1e-9
 
 
-def run_main(argv):
-    """(exit code, stdout) of an in-process CLI run; argparse's exit included."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue()
-
-
 def assert_document_or_clean_usage_error(argv):
     # sweep computes its rows as CSV writes them, and causality-scan's rows
     # must stay a list: a usage error raised after the first write would
     # leave a partial document on stdout.
-    code, out = run_main(argv)
+    code, out, _ = run_main(argv)
     assert code in (0, 2), argv
     assert (out == "") == (code == 2), argv
     return code, out
@@ -159,7 +141,7 @@ def test_causality_scan_flags_give_a_document_or_a_usage_error(us, L, fmt):
 
     code, out = assert_document_or_clean_usage_error(scan(repr(L)))
     if code == 0:  # -L only labels the document
-        unit_code, unit_out = run_main(scan("1"))
+        unit_code, unit_out, _ = run_main(scan("1"))
         assert unit_code == 0 and rows(unit_out) == rows(out), us
 
 

@@ -24,7 +24,7 @@ import stimamp
 from stimamp.amplifier import EmissionConstants
 from stimamp.closed_form import Variant, closed_form_probs, differential_sigma_20, sweep
 from stimamp.kinematics import Event, LoopConfig, boost, violation_threshold
-from stimamp.protocol import ProtocolConfig, linearity_gap, reduced_density, transmit
+from stimamp.protocol import ProtocolConfig, linearity_gap, reduced_density
 from stimamp.statistics import first_principles_probs, monte_carlo_probs, outcome_table
 
 ANGLE = "theta must satisfy |theta| <= 2**20 (period pi)"
@@ -39,9 +39,8 @@ SITES = {
     "monte_carlo_probs.theta": (ANGLE, lambda x: monte_carlo_probs(x, Variant.IDENTICAL, 10, 1)),
     "reduced_density.theta": (ANGLE, reduced_density),
     "linearity_gap.theta": (ANGLE, lambda x: linearity_gap(x, Variant.IDENTICAL)),
-    # The config keeps its angles as given; transmit reads each as its double.
-    "ProtocolConfig.theta_bit0": (ANGLE, lambda x: transmit(ProtocolConfig(20, theta_bit0=x), [0, 1])),
-    "ProtocolConfig.theta_bit1": (ANGLE, lambda x: transmit(ProtocolConfig(20, theta_bit0=1.0, theta_bit1=x), [1, 0])),
+    "ProtocolConfig.theta_bit0": (ANGLE, lambda x: ProtocolConfig(20, theta_bit0=x)),
+    "ProtocolConfig.theta_bit1": (ANGLE, lambda x: ProtocolConfig(20, theta_bit0=1.0, theta_bit1=x)),
     "LoopConfig.u": ("u must be positive and finite", lambda x: LoopConfig(u=x, beta=0.25)),
     "LoopConfig.beta": ("beta must be in [0, 1)", lambda x: LoopConfig(u=2.0, beta=x)),
     "LoopConfig.L": ("L must be positive and finite", lambda x: LoopConfig(u=2.0, beta=0.25, L=x)),
@@ -63,7 +62,6 @@ UNCHECKED = {
     "single_photon_state",
     "rotation2",
     "two_photon_rotation",
-    "gamma",
     "ProbabilityTriple",
 }
 
